@@ -6,14 +6,12 @@ partial-invariance property of the composite steady state.
 """
 
 from .hilbert import (
-    SubsystemSpec, SpaceSpec, Operator, FactorOperator,
+    SubsystemSpec, SpaceSpec, Operator,
     spin, oscillator, space, mk_destroy, mk_spin_ops, mk_number,
     identity, embed, partial_trace,
 )
 from .liouvillian import (
-    LindbladTerm, Liouvillian,
-    dissipator_apply, liouvillian_apply, liouvillian_adjoint_apply,
-    materialize_superoperator, sparse_superoperator,
+    LindbladTerm, Liouvillian, sparse_superoperator,
 )
 from .spectral import (
     SpinEigensystem, OscEigensystem,

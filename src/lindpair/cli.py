@@ -20,14 +20,13 @@ import numpy as np
 
 from . import hilbert as hb
 from .evolve import certify_truncation, evolve, trace_norm
-from .liouvillian import materialize_superoperator
+from .liouvillian import sparse_superoperator
 from .models import BuiltModel, ModelConfig, build_model, model_steady, parse_config
 from .moments import steady_spin_osc_excitation
 from .sectors import (build_excitation_structure, check_decay_bound,
                       excitation_commutator, project_sector,
                       sector_pair_mask)
 from .spectral import spin_eigensystem
-from .steady import solve_steady
 
 
 def _outdir(args) -> Path:
@@ -119,7 +118,8 @@ def cmd_steady(args) -> int:
     _write_matrix_pair(out, "rho_B", redB)
     summary = {
         "residual": report.residual,
-        "method": report.method,
+        "block_dim": report.block_dim,
+        "degenerate": report.degenerate,
         "clipped_weight": report.clipped_weight,
         "invariance_A": trace_norm(redA - bm.analytic_A_steady),
         "deviation_B": trace_norm(redB - bm.analytic_B_steady),
@@ -164,7 +164,7 @@ def cmd_spectrum(args) -> int:
                 rows.append(["A_analytic", f"n={n};k={k}",
                              -kappa * (n + abs(k) / 2.0), 0.0])
     if bm.L.dim <= 16:
-        M = materialize_superoperator(bm.L)
+        M = sparse_superoperator(bm.L).toarray()
         for lam in sorted(np.linalg.eigvals(M), key=lambda z: -z.real):
             rows.append(["full_numeric", "", lam.real, lam.imag])
     _write_csv(_outdir(args) / "spectrum.csv",

@@ -8,8 +8,8 @@ monitored along the way: drift beyond 1e-6 aborts the run, since it
 signals a truncation or step-size problem rather than physics.
 
 ``trace_norm`` follows the two-branch contract: matrices that are
-hermitian up to 1e-8 (relative max-norm) are hermitized and diagonalized
-with cyclic Jacobi rotations; anything else falls back to singular
+hermitian up to 1e-8 (relative max-norm) are hermitized and go through
+the LAPACK hermitian eigensolver; anything else falls back to singular
 values.
 """
 
@@ -39,81 +39,12 @@ HERM_BRANCH_TOL = 1e-8
 TRACE_ABORT = 1e-6
 
 
-def _jacobi_eigvals(A: np.ndarray, need_vectors: bool = False,
-                    max_sweeps: int = 100):
-    """Eigenvalues of a hermitian matrix by cyclic Jacobi rotations.
-
-    Sweeps zero each off-diagonal entry in turn with a complex plane
-    rotation; quadratic convergence makes a dozen sweeps plenty at the
-    dimensions used here.  Raises after ``max_sweeps`` without reaching
-    the off-diagonal floor.
-    """
-    A = np.array(A, dtype=complex)
-    n = A.shape[0]
-    V = np.eye(n, dtype=complex) if need_vectors else None
-    if n == 1:
-        w = A.real.diagonal().copy()
-        return (w, V) if need_vectors else w
-    fro = np.linalg.norm(A)
-    floor = 1e-14 * max(fro, 1e-300)
-    for sweep in range(max_sweeps):
-        # measure the off-diagonal mass directly; the norm-difference
-        # formula cancels catastrophically near convergence
-        offmat = A.copy()
-        np.fill_diagonal(offmat, 0.0)
-        off = np.linalg.norm(offmat)
-        if off <= floor:
-            w = A.diagonal().real.copy()
-            order = np.argsort(w)
-            if need_vectors:
-                return w[order], V[:, order]
-            return w[order]
-        # skip tiny entries only during early sweeps; later sweeps must
-        # rotate everything or rounding remnants stall the iteration
-        thresh = (off / n) * 1e-3 if sweep < 4 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                g = abs(apq)
-                if g <= thresh or g == 0.0:
-                    continue
-                phase = apq / g
-                tau = (A[q, q].real - A[p, p].real) / (2.0 * g)
-                if tau == 0.0:
-                    t = 1.0
-                elif abs(tau) > 1e150:
-                    t = 0.5 / tau
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns: A <- A R, with R[p,p]=c, R[p,q]=s*phase,
-                # R[q,p]=-s*conj(phase), R[q,q]=c
-                col_p = A[:, p].copy()
-                col_q = A[:, q].copy()
-                A[:, p] = c * col_p - s * np.conj(phase) * col_q
-                A[:, q] = s * phase * col_p + c * col_q
-                # rows: A <- R^dag A
-                row_p = A[p, :].copy()
-                row_q = A[q, :].copy()
-                A[p, :] = c * row_p - s * phase * row_q
-                A[q, :] = s * np.conj(phase) * row_p + c * row_q
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                if need_vectors:
-                    vc_p = V[:, p].copy()
-                    vc_q = V[:, q].copy()
-                    V[:, p] = c * vc_p - s * np.conj(phase) * vc_q
-                    V[:, q] = s * phase * vc_p + c * vc_q
-    raise RuntimeError("Jacobi eigen-iteration did not converge")
-
-
 def trace_norm(X) -> float:
     """Trace norm ``Tr sqrt(X^dag X)``.
 
-    Hermitian inputs (up to relative asymmetry 1e-8) go through the
-    Jacobi eigensolver on the hermitized part; general matrices use
-    singular values.
+    Hermitian inputs (up to relative asymmetry 1e-8) go through
+    ``eigvalsh`` on the hermitized part; general matrices use singular
+    values.
     """
     arr = np.asarray(getattr(X, "entries", X), dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -123,8 +54,7 @@ def trace_norm(X) -> float:
         return 0.0
     if np.abs(arr - arr.conj().T).max() <= HERM_BRANCH_TOL * scale:
         herm = 0.5 * (arr + arr.conj().T)
-        w = _jacobi_eigvals(herm)
-        return float(np.abs(w).sum())
+        return float(np.abs(np.linalg.eigvalsh(herm)).sum())
     return float(np.linalg.svd(arr, compute_uv=False).sum())
 
 

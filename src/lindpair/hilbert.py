@@ -21,7 +21,6 @@ __all__ = [
     "SubsystemSpec",
     "SpaceSpec",
     "Operator",
-    "FactorOperator",
     "spin",
     "oscillator",
     "space",
@@ -217,8 +216,7 @@ def embed(op: Operator, factor_index: int, target: SpaceSpec) -> Operator:
     ``op`` must act on the one-factor space matching
     ``target.factors[factor_index]``; the result is
     ``1 x ... x op x ... x 1`` in row-major Kronecker order.  Dense
-    embedding is refused above ``MAX_DENSE_DIM``; build a
-    :class:`FactorOperator` instead for structured application.
+    embedding is refused above ``MAX_DENSE_DIM``.
     """
     if not (0 <= factor_index < len(target.factors)):
         raise ValueError(f"factor index {factor_index} out of range")
@@ -226,9 +224,8 @@ def embed(op: Operator, factor_index: int, target: SpaceSpec) -> Operator:
         raise ValueError("operator space does not match the target factor")
     if target.total_dim > MAX_DENSE_DIM:
         raise ValueError(
-            f"refusing dense embed at dim {target.total_dim} > {MAX_DENSE_DIM}; "
-            "use FactorOperator"
-        )
+            f"refusing dense embed at dim {target.total_dim} > "
+            f"{MAX_DENSE_DIM}")
     left = 1
     for f in target.factors[:factor_index]:
         left *= f.dim
@@ -237,62 +234,6 @@ def embed(op: Operator, factor_index: int, target: SpaceSpec) -> Operator:
         right *= f.dim
     mat = np.kron(np.kron(np.eye(left), op.entries), np.eye(right))
     return Operator(target, mat)
-
-
-@dataclass(frozen=True)
-class FactorOperator:
-    """Tensor product of local operators, applied without dense assembly.
-
-    Represents ``X = X_0 x X_1 x ...`` where factors absent from ``locals``
-    are identities.  ``left_apply`` computes ``X rho`` and ``right_apply``
-    computes ``rho X`` by axis-wise contraction, so composite dimensions
-    beyond ``MAX_DENSE_DIM`` stay affordable.
-    """
-
-    space: SpaceSpec
-    locals: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        dims = self.space.dims
-        frozen = {}
-        for i, m in self.locals.items():
-            if not (0 <= i < len(dims)):
-                raise ValueError(f"factor index {i} out of range")
-            arr = np.asarray(m, dtype=complex)
-            if arr.shape != (dims[i], dims[i]):
-                raise ValueError(f"local operator shape {arr.shape} at factor {i}")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            frozen[i] = arr
-        object.__setattr__(self, "locals", frozen)
-
-    def left_apply(self, rho: np.ndarray) -> np.ndarray:
-        dims = self.space.dims
-        out = np.asarray(rho, dtype=complex).reshape(dims + dims)
-        for i, m in self.locals.items():
-            out = np.tensordot(m, out, axes=([1], [i]))
-            # tensordot puts the contracted axis first; restore position i
-            out = np.moveaxis(out, 0, i)
-        d = self.space.total_dim
-        return out.reshape(d, d)
-
-    def right_apply(self, rho: np.ndarray) -> np.ndarray:
-        dims = self.space.dims
-        k = len(dims)
-        out = np.asarray(rho, dtype=complex).reshape(dims + dims)
-        for i, m in self.locals.items():
-            out = np.tensordot(out, m, axes=([k + i], [0]))
-            out = np.moveaxis(out, -1, k + i)
-        d = self.space.total_dim
-        return out.reshape(d, d)
-
-    def dense(self) -> Operator:
-        if self.space.total_dim > MAX_DENSE_DIM:
-            raise ValueError("dense assembly refused above MAX_DENSE_DIM")
-        mat = np.eye(1, dtype=complex)
-        for i, d in enumerate(self.space.dims):
-            mat = np.kron(mat, self.locals.get(i, np.eye(d, dtype=complex)))
-        return Operator(self.space, mat)
 
 
 def partial_trace(rho: Operator, keep: Iterable[int]) -> Operator:

@@ -1,4 +1,4 @@
-"""Lindblad generators: matrix-free application and dense materialization.
+"""Lindblad generators: matrix-free application and sparse superoperators.
 
 A generator is stored as a hamiltonian plus weighted jump operators,
 
@@ -8,10 +8,10 @@ A generator is stored as a hamiltonian plus weighted jump operators,
 Repeated application reuses the non-hermitian drift
 ``K = -i H - (1/2) sum_j r_j J_j^dag J_j`` held in sparse form, so one
 call costs a handful of sparse-dense products instead of a superoperator
-matvec.  Dense superoperators (column-stacking convention,
-``A rho B -> kron(B^T, A) vec(rho)``) are only materialized for small
-spaces, where they feed spectra, sector restrictions and null-space
-steady-state solves.
+matvec.  The superoperator (column-stacking convention,
+``A rho B -> kron(B^T, A) vec(rho)``) is assembled sparse from the same
+drift and jump matrices; it feeds the steady-state solve, spectra and
+sector restrictions.
 """
 
 from __future__ import annotations
@@ -27,18 +27,10 @@ from .hilbert import Operator, SpaceSpec
 __all__ = [
     "LindbladTerm",
     "Liouvillian",
-    "dissipator_apply",
-    "liouvillian_apply",
-    "liouvillian_adjoint_apply",
-    "materialize_superoperator",
     "sparse_superoperator",
     "trace_row_indices",
-    "MAX_SUPEROP_DIM",
     "TOL_TRACE",
 ]
-
-# Dense superoperators grow as dim^4; refuse beyond this Hilbert dimension.
-MAX_SUPEROP_DIM = 64
 
 # Trace of L(rho) must vanish to this tolerance relative to |rho|_max.
 TOL_TRACE = 1e-12
@@ -133,61 +125,20 @@ def _sandwich(J: sp.csr_matrix, Jd: sp.csr_matrix, rho: np.ndarray) -> np.ndarra
     return (Jd.T @ left.T).T
 
 
-def dissipator_apply(jump: Operator, rho: np.ndarray) -> np.ndarray:
-    """Single dissipator ``D[J] rho`` at unit rate."""
-    J = jump.entries
-    rho = np.asarray(rho, dtype=complex)
-    JdJ = J.conj().T @ J
-    return J @ rho @ J.conj().T - 0.5 * (JdJ @ rho + rho @ JdJ)
-
-
-def liouvillian_apply(L: Liouvillian, rho: np.ndarray) -> np.ndarray:
-    """Schroedinger-picture action ``L(rho)``."""
-    return L.apply(np.asarray(rho, dtype=complex))
-
-
-def liouvillian_adjoint_apply(L: Liouvillian, X: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture action ``L^dag(X)``.
-
-    Satisfies ``Tr(X^dag L(rho)) = Tr((L^dag X)^dag rho)`` for all
-    arguments, which the tests check against random pairs.
-    """
-    return L.adjoint_apply(np.asarray(X, dtype=complex))
-
-
 def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:
     """Column-stacking superoperator as a sparse matrix (any dimension).
 
     ``vec`` is column-major flattening, so ``A rho B`` maps to
-    ``kron(B^T, A)``.
+    ``kron(B^T, A)``, and the cached drift and jumps of
+    ``K rho + rho K^dag + sum_j r_j J_j rho J_j^dag`` give
+    ``kron(1, K) + kron(conj(K), 1) + sum_j r_j kron(conj(J_j), J_j)``.
     """
-    d = L.dim
-    I = sp.identity(d, format="csr")
-    H = sp.csr_matrix(L.hamiltonian.entries)
-    M = -1j * (sp.kron(I, H, format="csr") - sp.kron(H.T, I, format="csr"))
-    for t in L.terms:
-        J = sp.csr_matrix(t.jump_op.entries)
-        JdJ = (J.conj().T @ J).tocsr()
-        M = M + t.rate * (
-            sp.kron(J.conj(), J, format="csr")
-            - 0.5 * sp.kron(I, JdJ, format="csr")
-            - 0.5 * sp.kron(JdJ.T, I, format="csr")
-        )
+    I = sp.identity(L.dim, format="csr")
+    K = L._drift
+    M = sp.kron(I, K, format="csr") + sp.kron(K.conj(), I, format="csr")
+    for J, _, r in L._jumps:
+        M = M + r * sp.kron(J.conj(), J, format="csr")
     return M.tocsr()
-
-
-def materialize_superoperator(L: Liouvillian) -> np.ndarray:
-    """Dense column-stacking superoperator, refused above ``MAX_SUPEROP_DIM``.
-
-    The dense matrix satisfies
-    ``(M @ rho.flatten(order="F")).reshape(d, d, order="F") == L(rho)``
-    to machine precision; tests compare both routes on random inputs.
-    """
-    d = L.dim
-    if d > MAX_SUPEROP_DIM:
-        raise ValueError(
-            f"refusing dense superoperator at dim {d} > {MAX_SUPEROP_DIM}")
-    return sparse_superoperator(L).toarray()
 
 
 def trace_row_indices(d: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,11 +88,12 @@ class ModelConfig:
             if getattr(self, name) is None:
                 raise ValueError(f"model {self.model!r} needs field {name!r}")
         for f in dataclasses.fields(self):
-            if f.name in ("model",) + required:
-                continue
-            if getattr(self, f.name) is not None:
+            v = getattr(self, f.name)
+            if v is not None and f.name not in ("model",) + required:
                 raise ValueError(
                     f"field {f.name!r} does not apply to model {self.model!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         for name in _POSITIVE:
             v = getattr(self, name)
             if v is not None and not v > 0:
@@ -148,11 +150,10 @@ def parse_config(source) -> ModelConfig:
 class BuiltModel:
     """Assembled generator plus the analytic reference data.
 
-    Iterating yields ``(L, es, analytic_A_steady)`` for positional
-    unpacking; the remaining attributes carry the A-only dissipative
-    generator (for sector restrictions), the B-side fixed point, the
-    reference rate used to scale times in reports, and the per-factor
-    sector unit costs.
+    Besides the generator, the A excitation structure and the A-side
+    fixed point, it carries the A-only dissipative generator (for sector
+    restrictions), the B-side fixed point, the reference rate used to
+    scale times in reports, and the per-factor sector unit costs.
     """
 
     cfg: ModelConfig
@@ -166,17 +167,6 @@ class BuiltModel:
     a_factors: tuple[int, ...]
     b_factors: tuple[int, ...]
     a_unit_costs: tuple
-
-    def __iter__(self):
-        return iter((self.L, self.es, self.analytic_A_steady))
-
-    def product_steady(self) -> np.ndarray:
-        """Uncoupled product fixed point (long-time warm start)."""
-        return np.kron(self.analytic_A_steady, self.analytic_B_steady)
-
-    def min_rate(self) -> float:
-        rates = [t.rate for t in self.L.terms if t.rate > 0]
-        return min(rates) if rates else self.reference_rate
 
 
 def _build_two_spins(cfg: ModelConfig) -> BuiltModel:
@@ -270,8 +260,6 @@ def build_model(cfg) -> BuiltModel:
     return _build_optomechanical(cfg)
 
 
-def model_steady(bm: BuiltModel, method: str | None = None) -> SteadyReport:
-    """Composite steady state with a model-aware warm start."""
-    return solve_steady(bm.L, method=method,
-                        warm_start=bm.product_steady(),
-                        t_block=1.0 / bm.min_rate())
+def model_steady(bm: BuiltModel) -> SteadyReport:
+    """Composite steady state of a built model."""
+    return solve_steady(bm.L)

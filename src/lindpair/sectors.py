@@ -155,37 +155,21 @@ def sector_vec_indices(es: ExcitationStructure, total_dim: int,
     return ii + jj * total_dim
 
 
-def _a_unit_costs(model) -> list:
-    """Per-unit decay costs of the A factors: (cost, capacity) pairs.
-
-    Spins supply at most one excitation unit at cost gamma/2; an
-    oscillator supplies unlimited units at kappa/2 each.
-    """
-    costs = getattr(model, "a_unit_costs", None)
-    if costs is not None:
-        return list(costs)
-    cfg = getattr(model, "cfg", model)
-    name = getattr(cfg, "model", None)
-    if name in ("two_spins", "spin_oscillator"):
-        return [(cfg.gamma_A / 2.0, 1)]
-    if name == "optomechanical":
-        return [(cfg.kappa / 2.0, None)]
-    raise ValueError("cannot derive A-side unit costs from this model")
-
-
 def sector_decay_rate(model, l: int) -> float:
     """Largest real part eta_l of the A damping restricted to sector l.
 
     For a single spin eta_{+-1} = -gamma_A/2; for a single oscillator
     eta_l = -kappa*|l|/2.  A composite A side distributes the |l|
     excitation units over its factors at the cheapest total per-unit
-    cost (spins capped at one unit each); dense sector spectra confirm
-    the formula in the tests.
+    cost (spins capped at one unit each), read from the
+    ``model.a_unit_costs`` pairs ``(cost, capacity)`` with capacity None
+    for an oscillator; dense sector spectra confirm the formula in the
+    tests.
     """
     units = abs(int(l))
     if units == 0:
         return 0.0
-    pools = _a_unit_costs(model)
+    pools = model.a_unit_costs
     unit_costs = []
     unbounded = [c for c, cap in pools if cap is None]
     for c, cap in pools:
@@ -273,8 +257,7 @@ def sector_generator_matrix(L: Liouvillian, es: ExcitationStructure,
     if d > TROTTER_DIM_CAP:
         raise ValueError(f"sector materialization capped at dim {TROTTER_DIM_CAP}")
     idx = sector_vec_indices(es, d, l)
-    M = sparse_superoperator(L).toarray()
-    return M[np.ix_(idx, idx)]
+    return sparse_superoperator(L)[idx][:, idx].toarray()
 
 
 def trotter_compare(model, l: int, t: float,

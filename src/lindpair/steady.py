@@ -1,10 +1,13 @@
-"""Steady states: analytic fixed points, null-space solvers, and the
-pure-damping recurrence oracle.
+"""Steady states: analytic fixed points, the block null-space solver,
+and the pure-damping recurrence oracle.
 
-The composite steady state is obtained from the materialized
-superoperator by trace-augmented least squares (robust when the zero
-eigenvalue splits numerically), switching to normal equations on sparse
-storage at intermediate dimensions and to long-time integration beyond.
+The composite steady state comes from one square sparse direct solve.
+The generator commutes with ``[V_A x 1, .]``, so its superoperator is
+block diagonal over excitation-difference sectors and the fixed point
+lies in the block that holds the diagonal (sector 0 for every coupled
+model, smaller when the pair decouples).  One row of that block is
+replaced by the trace condition and the system is factorised with a
+sparse LU.
 The recurrence oracle iterates the Fock-basis relations of the damped
 oscillator steady state: the diagonal reproduces a geometric profile,
 while every off-diagonal forces a coefficient sequence whose partial
@@ -21,11 +24,9 @@ from fractions import Fraction
 from math import exp, factorial, lgamma, pi, sqrt
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from ._integrate import integrate_adaptive
 from .evolve import trace_norm
 from .hilbert import Operator
 from .liouvillian import Liouvillian, sparse_superoperator, trace_row_indices
@@ -39,19 +40,10 @@ __all__ = [
     "pure_damping_recurrence",
     "damping_recurrence",
     "off_diagonal_witness",
-    "DENSE_SOLVE_DIM",
-    "SPARSE_SOLVE_DIM",
 ]
-
-# Dense least squares below this Hilbert dimension, sparse normal
-# equations up to the second cap, long-time integration beyond.
-DENSE_SOLVE_DIM = 32
-SPARSE_SOLVE_DIM = 200
 
 # Exact-arithmetic coefficient verification cap.
 COEFF_EXACT_CAP = 25
-
-LONG_TIME_TARGET = 1e-9
 
 
 @dataclass
@@ -60,14 +52,16 @@ class SteadyReport:
 
     ``residual`` is the trace norm of ``L(rho_st)``;
     ``truncation_shift`` stays None unless a truncation certification
-    filled it in; ``clipped_weight`` is the total negative eigenvalue
-    weight removed by the positivity repair; ``degenerate`` flags a
-    null space of dimension above one (reported, not resolved).
+    filled it in; ``block_dim`` is the number of unknowns solved (the
+    size of the block that holds the trace); ``clipped_weight`` is the
+    total negative eigenvalue weight removed by the positivity repair;
+    ``degenerate`` flags a null space of dimension above one (reported,
+    not resolved).
     """
 
     rho_st: Operator
     residual: float
-    method: str
+    block_dim: int
     truncation_shift: float | None = None
     clipped_weight: float = 0.0
     degenerate: bool = False
@@ -94,8 +88,8 @@ def spin_steady(s: float) -> np.ndarray:
     return np.diag([1.0 - s, s]).astype(complex)
 
 
-def _postprocess(L: Liouvillian, raw: np.ndarray, method: str) -> SteadyReport:
-    d = L.dim
+def _postprocess(L: Liouvillian, raw: np.ndarray,
+                 block_dim: int) -> SteadyReport:
     rho = 0.5 * (raw + raw.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
@@ -113,119 +107,74 @@ def _postprocess(L: Liouvillian, raw: np.ndarray, method: str) -> SteadyReport:
         rho = (V * w) @ V.conj().T
         rho = rho / np.trace(rho).real
     residual = trace_norm(L.apply(rho))
-    return SteadyReport(Operator(L.space, rho), residual, method,
+    return SteadyReport(Operator(L.space, rho), residual, block_dim,
                         clipped_weight=clipped)
 
 
-def _solve_dense(L: Liouvillian) -> SteadyReport:
+def _trace_block(M: sp.csr_matrix, d: int) -> tuple[np.ndarray, bool]:
+    """Vec indices of the block that holds the trace, and a degeneracy flag.
+
+    The block is the weakly connected component of the pattern of ``M``
+    that holds the first diagonal index.  Each component holding
+    diagonal entries conserves its own partial trace, so more than one
+    such component means a steady-state space of dimension above one.
+    """
+    # imported here: csgraph adds about 1 MB of resident memory that
+    # runs without a steady solve do not need
+    from scipy.sparse.csgraph import connected_components
+
+    # csgraph casts complex input to real, which can cancel entries
+    _, labels = connected_components(abs(M), connection="weak")
+    held = labels[trace_row_indices(d)]
+    return np.flatnonzero(labels == held[0]), bool(np.any(held != held[0]))
+
+
+def solve_steady(L: Liouvillian) -> SteadyReport:
+    """Solve ``L(rho) = 0`` with unit trace.
+
+    The generator commutes with ``[V_A x 1, .]``, so its superoperator
+    is block diagonal and the fixed point lives in the block that holds
+    the diagonal.  That block is solved square and direct: one of its
+    rows (a diagonal index) is replaced by the trace functional and the
+    system goes through a sparse LU.  A steady-state space of dimension
+    above one is flagged, with a RuntimeWarning, when the diagonal
+    spreads over several blocks or the factorisation is exactly
+    singular; one solution is still returned.  The state is hermitized,
+    and eigenvalues in [-1e-8, 0) are clipped to zero with
+    renormalization; anything more negative aborts.
+    """
     d = L.dim
-    M = sparse_superoperator(L).toarray()
-    w = max(1.0, np.abs(M).max())
-    trow = np.zeros(d * d, dtype=complex)
-    trow[trace_row_indices(d)] = w
-    A = np.vstack([M, trow[None, :]])
-    b = np.zeros(d * d + 1, dtype=complex)
-    b[-1] = w
-    x, _, rank, _ = scipy.linalg.lstsq(A, b, lapack_driver="gelsy")
-    report = _postprocess(L, x.reshape(d, d, order="F"), "null_space")
-    if rank < d * d:
+    M = sparse_superoperator(L)
+    block, degenerate = _trace_block(M, d)
+    n = block.size
+    Mb = M[block][:, block]
+    w = max(1.0, np.abs(Mb.data).max() if Mb.nnz else 1.0)
+    # row r, the block's first diagonal entry, gives way to the trace
+    t = np.flatnonzero(np.isin(block, trace_row_indices(d)))
+    r = t[0]
+    keep = np.ones(n)
+    keep[r] = 0.0
+    A = sp.diags(keep) @ Mb + sp.csr_matrix(
+        (np.full(t.size, w, dtype=complex), (np.full(t.size, r), t)),
+        shape=(n, n))
+    b = np.zeros(n, dtype=complex)
+    b[r] = w
+    try:
+        x = spla.splu(A.tocsc()).solve(b)
+    except RuntimeError:
+        # exactly singular: a second steady state inside the block
+        degenerate = True
+        x = spla.lsqr(sp.vstack([Mb, A[r]]).tocsr(),
+                      np.append(np.zeros(n, dtype=complex), w),
+                      atol=1e-12, btol=1e-12)[0]
+    vec = np.zeros(d * d, dtype=complex)
+    vec[block] = x
+    report = _postprocess(L, vec.reshape(d, d, order="F"), n)
+    if degenerate:
         report.degenerate = True
         warnings.warn("steady-state null space has dimension > 1; "
                       "returning one solution", RuntimeWarning)
     return report
-
-
-def _solve_sparse(L: Liouvillian) -> SteadyReport:
-    d = L.dim
-    M = sparse_superoperator(L)
-    w = max(1.0, np.abs(M.data).max() if M.nnz else 1.0)
-    cols = trace_row_indices(d)
-    trow = sp.csr_matrix(
-        (np.full(d, w, dtype=complex), (np.zeros(d, dtype=int), cols)),
-        shape=(1, d * d))
-    A = sp.vstack([M, trow]).tocsr()
-    b = np.zeros(d * d + 1, dtype=complex)
-    b[-1] = w
-    normal = (A.conj().T @ A).tocsc()
-    rhs = A.conj().T @ b
-    try:
-        lu = spla.splu(normal)
-    except RuntimeError:
-        # structurally singular normal equations: the null space is
-        # degenerate by construction, so pick one solution iteratively
-        x = spla.lsqr(A, b, atol=1e-12, btol=1e-12)[0]
-        report = _postprocess(L, x.reshape(d, d, order="F"), "null_space")
-        report.degenerate = True
-        warnings.warn("steady-state null space looks degenerate; "
-                      "returning one solution", RuntimeWarning)
-        return report
-    x = lu.solve(rhs)
-    # a second null-space direction makes the normal matrix singular;
-    # probe with a random right-hand side and look for a blow-up
-    probe = lu.solve(np.random.default_rng(0).normal(size=d * d)
-                     .astype(complex))
-    report = _postprocess(L, x.reshape(d, d, order="F"), "null_space")
-    if not np.all(np.isfinite(probe)) or \
-            np.abs(probe).max() > 1e12 * max(1.0, np.abs(x).max()):
-        report.degenerate = True
-        warnings.warn("steady-state null space looks degenerate; "
-                      "returning one solution", RuntimeWarning)
-    return report
-
-
-def _solve_long_time(L: Liouvillian, warm_start: np.ndarray | None,
-                     t_block: float) -> SteadyReport:
-    d = L.dim
-    if warm_start is None:
-        rho = np.eye(d, dtype=complex) / d
-    else:
-        rho = np.asarray(getattr(warm_start, "entries", warm_start),
-                         dtype=complex).copy()
-        rho = rho / np.trace(rho)
-    rhs = lambda t, y: L.apply(y)
-    history: list[float] = []
-    tol = 1e-10
-    for _ in range(2000):
-        rho = integrate_adaptive(rhs, rho, 0.0, t_block, tol=tol)
-        res = trace_norm(L.apply(rho))
-        history.append(res)
-        if res <= LONG_TIME_TARGET:
-            return _postprocess(L, rho, "long_time")
-        # keep the integrator noise floor below the residual target
-        tol = max(1e-13, min(1e-10, 1e-3 * res))
-        if len(history) >= 6 and history[-1] > 0.9 * history[-6]:
-            raise RuntimeError(
-                f"long-time steady-state search stalled at residual "
-                f"{res:.3e}")
-    raise RuntimeError("long-time steady-state search did not converge")
-
-
-def solve_steady(L: Liouvillian, method: str | None = None,
-                 warm_start=None, t_block: float = 1.0) -> SteadyReport:
-    """Solve ``L(rho) = 0`` with unit trace.
-
-    The method is picked by dimension (dense least squares, then sparse
-    normal equations, then long-time integration) unless forced through
-    ``method``; ``warm_start`` and ``t_block`` only affect the
-    long-time path.  The returned state is hermitized, and eigenvalues
-    in [-1e-8, 0) are clipped to zero with renormalization; anything
-    more negative aborts.
-    """
-    d = L.dim
-    if method is None:
-        if d <= DENSE_SOLVE_DIM:
-            method = "null_space_dense"
-        elif d <= SPARSE_SOLVE_DIM:
-            method = "null_space_sparse"
-        else:
-            method = "long_time"
-    if method == "null_space_dense":
-        return _solve_dense(L)
-    if method == "null_space_sparse":
-        return _solve_sparse(L)
-    if method == "long_time":
-        return _solve_long_time(L, warm_start, t_block)
-    raise ValueError(f"unknown method {method!r}")
 
 
 def pure_damping_recurrence(gamma1: float, gamma2: float,

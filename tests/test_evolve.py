@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindpair import hilbert as hb
-from lindpair.evolve import (certify_truncation, evolve, trace_norm,
-                             _jacobi_eigvals)
+from lindpair.evolve import certify_truncation, evolve, trace_norm
 from lindpair.liouvillian import Liouvillian, LindbladTerm
 from lindpair.models import ModelConfig, build_model, model_steady
 
@@ -17,30 +16,6 @@ from lindpair.models import ModelConfig, build_model, model_steady
 def _herm(rng, n):
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     return 0.5 * (X + X.conj().T)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(1, 7), st.integers(0, 10 ** 6))
-def test_jacobi_matches_lapack(n, seed):
-    H = _herm(np.random.default_rng(seed), n)
-    w = _jacobi_eigvals(H)
-    ref = np.linalg.eigvalsh(H)
-    assert np.abs(w - ref).max() <= 1e-11 * max(1.0, np.abs(ref).max())
-
-
-def test_jacobi_eigenvectors():
-    H = _herm(np.random.default_rng(1), 6)
-    w, V = _jacobi_eigvals(H, need_vectors=True)
-    assert np.abs(H @ V - V * w).max() <= 1e-12 * np.abs(H).max()
-    assert np.abs(V.conj().T @ V - np.eye(6)).max() <= 1e-12
-
-
-def test_jacobi_near_zero_matrix():
-    # rounding-noise input must terminate, not stall
-    rng = np.random.default_rng(2)
-    H = _herm(rng, 5) * 1e-16
-    w = _jacobi_eigvals(H)
-    assert np.abs(w).max() < 1e-15
 
 
 def test_trace_norm_known_values():

@@ -132,18 +132,6 @@ def test_partial_trace_three_factors():
     assert np.allclose(full.entries, rho.entries)
 
 
-def test_factor_operator_apply_matches_dense():
-    sp = hb.space(hb.spin(), hb.oscillator(4))
-    a = hb.mk_destroy(hb.oscillator(4))
-    fop = hb.FactorOperator(sp, {1: a.entries})
-    dense = hb.embed(a, 1, sp).entries
-    rng = np.random.default_rng(7)
-    rho = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    assert np.allclose(fop.left_apply(rho), dense @ rho)
-    assert np.allclose(fop.right_apply(rho), rho @ dense)
-    assert np.allclose(fop.dense().entries, dense)
-
-
 def test_hermiticity_check():
     sp = hb.space(hb.spin())
     h = hb.Operator(sp, np.array([[1.0, 2.0 + 1j], [2.0 - 1j, -1.0]]))

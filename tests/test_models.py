@@ -57,6 +57,15 @@ def test_range_validation():
         parse_config(dict(SPIN_OSC, nbar=-0.1))
     with pytest.raises(ValueError, match="Omega"):
         parse_config(dict(TWO_SPINS, Omega=-1.0))
+    # non-finite numbers fail at parse time with the field named
+    with pytest.raises(ValueError, match="nbar"):
+        parse_config(dict(SPIN_OSC, nbar=float("nan")))
+    with pytest.raises(ValueError, match="gamma_A"):
+        parse_config(dict(TWO_SPINS, gamma_A=float("inf")))
+    with pytest.raises(ValueError, match="omega_A"):
+        parse_config(dict(SPIN_OSC, omega_A=float("inf")))
+    with pytest.raises(ValueError, match="Omega"):
+        parse_config(dict(SPIN_OSC, Omega=float("nan")))
 
 
 def test_n_trunc_validation():
@@ -81,9 +90,7 @@ def test_build_two_spins_structure():
     assert bm.a_factors == (0,) and bm.b_factors == (1,)
     assert bm.a_unit_costs == ((0.5, 1),)
     assert np.allclose(bm.analytic_A_steady, np.diag([0.2, 0.8]))
-    L, es, rho_A = bm
-    assert L is bm.L and rho_A is bm.analytic_A_steady
-    assert list(es.exc) == [0, 1]
+    assert list(bm.es.exc) == [0, 1]
 
 
 def test_build_spin_oscillator_structure():
@@ -92,7 +99,6 @@ def test_build_spin_oscillator_structure():
     assert bm.L.hamiltonian.is_hermitian()
     rates = sorted(t.rate for t in bm.L.terms)
     assert rates == sorted([0.7, 0.3, 1.2, 0.2])
-    assert bm.min_rate() == 0.2
     assert bm.analytic_B_steady.shape == (6, 6)
     assert np.isclose(np.trace(bm.analytic_B_steady).real, 1.0)
 
@@ -102,7 +108,7 @@ def test_build_optomechanical_structure():
     assert bm.L.dim == 20
     assert bm.reference_name == "kappa"
     assert bm.a_unit_costs == ((0.5, None),)
-    rho = bm.product_steady()
+    rho = np.kron(bm.analytic_A_steady, bm.analytic_B_steady)
     assert rho.shape == (20, 20)
     assert np.isclose(np.trace(rho).real, 1.0)
     # A-only generator ignores the interaction and the B bath

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from lindpair import hilbert as hb
-from lindpair.liouvillian import Liouvillian, LindbladTerm
+from lindpair.liouvillian import (Liouvillian, LindbladTerm,
+                                  sparse_superoperator)
 from lindpair.models import ModelConfig, build_model
 from lindpair.sectors import (build_excitation_structure,
                               check_decay_bound, excitation_commutator,
@@ -156,8 +157,7 @@ def test_generator_spectrum_in_left_half_plane():
     for bm in _models():
         if bm.L.dim > 32:
             continue
-        from lindpair.liouvillian import materialize_superoperator
-        M = materialize_superoperator(bm.L)
+        M = sparse_superoperator(bm.L).toarray()
         ev = np.linalg.eigvals(M)
         assert ev.real.max() <= 1e-9 * max(1.0, np.abs(M).max())
 

@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindpair import hilbert as hb
 from lindpair.evolve import trace_norm
-from lindpair.liouvillian import Liouvillian, LindbladTerm
+from lindpair.hilbert import partial_trace
+from lindpair.liouvillian import (Liouvillian, LindbladTerm,
+                                  sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
-from lindpair.steady import (damping_recurrence, off_diagonal_witness,
-                             pure_damping_recurrence, solve_steady,
-                             spin_steady, thermal_state)
+from lindpair.sectors import sector_vec_indices
+from lindpair.steady import (_trace_block, damping_recurrence,
+                             off_diagonal_witness, pure_damping_recurrence,
+                             solve_steady, spin_steady, thermal_state)
 
 
 @settings(max_examples=20, deadline=None)
@@ -59,30 +63,45 @@ def _small_model(n_trunc=8):
                                    n_trunc=n_trunc))
 
 
-def test_solver_paths_agree():
-    bm = _small_model()
-    dense = solve_steady(bm.L, method="null_space_dense")
-    sparse = solve_steady(bm.L, method="null_space_sparse")
-    longt = solve_steady(bm.L, method="long_time",
-                         warm_start=bm.product_steady(), t_block=2.0)
-    assert trace_norm(dense.rho_st.entries - sparse.rho_st.entries) <= 1e-9
-    assert trace_norm(dense.rho_st.entries - longt.rho_st.entries) <= 1e-7
-    assert dense.method == "null_space"
-    assert longt.method == "long_time"
+def _lstsq_reference(L):
+    # dense trace-augmented least squares, independent of the block solve
+    d = L.dim
+    M = sparse_superoperator(L).toarray()
+    trow = np.zeros((1, d * d), dtype=complex)
+    trow[0, trace_row_indices(d)] = 1.0
+    b = np.zeros(d * d + 1, dtype=complex)
+    b[-1] = 1.0
+    x = scipy.linalg.lstsq(np.vstack([M, trow]), b, lapack_driver="gelsy")[0]
+    rho = x.reshape(d, d, order="F")
+    return 0.5 * (rho + rho.conj().T)
 
 
-def test_method_dispatch_by_dimension():
-    small = model_steady(_small_model(8))       # dim 16, dense
-    mid = model_steady(_small_model(25))        # dim 50, sparse
-    assert small.method == "null_space"
-    assert mid.method == "null_space"
-    assert mid.residual <= 1e-9
+@pytest.mark.parametrize("n_trunc", [8, 25])
+def test_block_solve_matches_dense_lstsq(n_trunc):
+    bm = _small_model(n_trunc)                  # dim 16 and 50
+    rep = solve_steady(bm.L)
+    ref = _lstsq_reference(bm.L)
+    assert trace_norm(rep.rho_st.entries - ref) <= 1e-9
+    assert rep.residual <= 1e-12
+    assert not rep.degenerate
 
 
-def test_unknown_method_rejected():
-    bm = _small_model()
-    with pytest.raises(ValueError):
-        solve_steady(bm.L, method="cholesky")
+@pytest.mark.parametrize("raw", [
+    dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.7, s_A=0.8,
+         s_B=0.6, Omega=1.3),
+    dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+         gamma_B=1.0, s=0.3, nbar=0.2, Omega=0.8, n_trunc=6),
+    dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0, gamma=0.9,
+         nbar=0.2, mbar=0.1, g=0.6, n_trunc=(4, 5)),
+], ids=lambda raw: raw["model"])
+def test_coupled_block_is_sector_zero(raw):
+    bm = build_model(raw)
+    d = bm.L.dim
+    block, split = _trace_block(sparse_superoperator(bm.L), d)
+    sector0 = np.sort(sector_vec_indices(bm.es, d, 0))
+    assert not split
+    assert np.array_equal(block, sector0)
+    assert model_steady(bm).block_dim == sector0.size
 
 
 def test_degenerate_null_space_flagged():
@@ -93,23 +112,56 @@ def test_degenerate_null_space_flagged():
     H = hb.Operator(sp, np.zeros((2, 2), dtype=complex))
     L = Liouvillian(sp, H, [LindbladTerm(hb.embed(sz, 0, sp), 0.5)])
     with pytest.warns(RuntimeWarning):
-        rep = solve_steady(L, method="null_space_dense")
+        rep = solve_steady(L)
     assert rep.degenerate
     assert rep.residual <= 1e-10
+    # pure precession: each population is a block of its own
     with pytest.warns(RuntimeWarning):
-        rep2 = solve_steady(L, method="null_space_sparse")
+        rep2 = solve_steady(Liouvillian(sp, hb.embed(sz, 0, sp), []))
     assert rep2.degenerate
-    assert rep2.residual <= 1e-8
+    assert rep2.residual <= 1e-10
 
 
-def test_long_time_stall_raises():
-    # pure precession never damps the warm-start coherence
+def test_singular_block_flagged():
+    # H = J = sigma_x: one block holds the diagonal, but the identity and
+    # sigma_x are both fixed, so the factorisation is exactly singular
     sp = hb.space(hb.spin())
-    _, _, sz = hb.mk_spin_ops(hb.spin())
-    L = Liouvillian(sp, hb.embed(sz, 0, sp), [])
-    plus = 0.5 * np.ones((2, 2), dtype=complex)
-    with pytest.raises(RuntimeError, match="stalled"):
-        solve_steady(L, method="long_time", warm_start=plus, t_block=1.0)
+    sm, splus, _ = hb.mk_spin_ops(hb.spin())
+    sx = hb.embed(sm + splus, 0, sp)
+    L = Liouvillian(sp, sx, [LindbladTerm(sx, 1.0)])
+    block, split = _trace_block(sparse_superoperator(L), 2)
+    assert block.size == 4 and not split
+    with pytest.warns(RuntimeWarning):
+        rep = solve_steady(L)
+    assert rep.degenerate
+    assert rep.residual <= 1e-10
+
+
+_rate = st.floats(0.2, 2.0)
+_unit = st.floats(0.0, 1.0)
+_model_cfgs = st.one_of(
+    st.builds(dict, model=st.just("two_spins"), omega=_rate,
+              gamma_A=_rate, gamma_B=_rate, s_A=_unit, s_B=_unit,
+              Omega=st.floats(0.0, 5.0)),
+    st.builds(dict, model=st.just("spin_oscillator"), omega_A=_rate,
+              omega_B=_rate, gamma_A=_rate, gamma_B=_rate, s=_unit,
+              nbar=st.floats(0.0, 0.5), Omega=st.floats(0.0, 2.0),
+              n_trunc=st.integers(4, 8)),
+    st.builds(dict, model=st.just("optomechanical"), omega=_rate, nu=_rate,
+              kappa=_rate, gamma=_rate, nbar=st.floats(0.0, 0.2),
+              mbar=st.floats(0.0, 0.2), g=st.floats(0.0, 0.5),
+              n_trunc=st.tuples(st.integers(4, 6), st.integers(4, 6))),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_model_cfgs)
+def test_random_configs_keep_a_marginal(raw):
+    # rates, pumps, occupations and couplings drawn for all three models
+    bm = build_model(raw)
+    rep = model_steady(bm)
+    red_A = partial_trace(rep.rho_st, bm.a_factors).entries
+    assert trace_norm(red_A - bm.analytic_A_steady) <= 1e-7
 
 
 def test_pure_damping_diagonal_recurrence():
