@@ -5,13 +5,18 @@ A generator is stored as a hamiltonian plus weighted jump operators,
     L(rho) = -i [H, rho] + sum_j r_j ( J_j rho J_j^dag
                                        - (J_j^dag J_j rho + rho J_j^dag J_j) / 2 ).
 
-Repeated application reuses the non-hermitian drift
-``K = -i H - (1/2) sum_j r_j J_j^dag J_j`` held in sparse form, so one
-call costs a handful of sparse-dense products instead of a superoperator
-matvec.  The superoperator (column-stacking convention,
-``A rho B -> kron(B^T, A) vec(rho)``) is assembled sparse from the same
-drift and jump matrices; it feeds the steady-state solve, spectra and
-sector restrictions.
+With the non-hermitian drift ``K = -i H - (1/2) sum_j r_j J_j^dag J_j``
+both directions are one kernel,
+
+    X -> K X + X K^dag + sum_j r_j J_j X J_j^dag,
+
+run on ``(K, J_j)`` for L and on ``(K^dag, J_j^dag)`` for the
+Heisenberg-picture adjoint L^dag.  Both sets are cached sparse when the
+generator is built, so one call costs a handful of sparse-dense products
+instead of a superoperator matvec.  The superoperator (column-stacking
+convention, ``A rho B -> kron(B^T, A) vec(rho)``) is assembled sparse
+from the same cached drift and jumps; it feeds the steady-state solve,
+spectra and sector restrictions.
 """
 
 from __future__ import annotations
@@ -65,8 +70,8 @@ class Liouvillian:
     space: SpaceSpec
     hamiltonian: Operator
     terms: tuple[LindbladTerm, ...]
-    _drift: sp.csr_matrix = field(init=False, repr=False, default=None)
-    _jumps: tuple = field(init=False, repr=False, default=None)
+    _forward: tuple = field(init=False, repr=False, default=None)
+    _adjoint: tuple = field(init=False, repr=False, default=None)
 
     def __init__(self, space: SpaceSpec, hamiltonian: Operator,
                  terms: Sequence[LindbladTerm] = ()):
@@ -83,15 +88,15 @@ class Liouvillian:
         self._build_cache()
 
     def _build_cache(self):
-        d = self.space.total_dim
-        K = -1j * self.hamiltonian.entries.copy()
-        jumps = []
-        for t in self.terms:
-            J = t.jump_op.entries
-            K -= 0.5 * t.rate * (J.conj().T @ J)
-            jumps.append((sp.csr_matrix(J), sp.csr_matrix(J.conj().T), t.rate))
-        self._drift = sp.csr_matrix(K)
-        self._jumps = tuple(jumps)
+        # (drift, ((jump, rate), ...)) for L and, daggered, for L^dag
+        jumps = [(t.jump_op.entries, t.rate) for t in self.terms]
+        K = -1j * self.hamiltonian.entries
+        for J, r in jumps:
+            K = K - 0.5 * r * (J.conj().T @ J)
+        csr = sp.csr_matrix
+        self._forward = (csr(K), tuple((csr(J), r) for J, r in jumps))
+        self._adjoint = (csr(K.conj().T),
+                         tuple((csr(J.conj().T), r) for J, r in jumps))
 
     @property
     def dim(self) -> int:
@@ -99,30 +104,22 @@ class Liouvillian:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) for a dense matrix ``rho`` (no superoperator assembly)."""
-        # K rho + rho K^dag; the second product comes from (K rho^dag)^dag
-        # so both go through the same sparse drift.
-        out = self._drift @ rho
-        out = out + (self._drift @ rho.conj().T).conj().T
-        for J, Jd, r in self._jumps:
-            out += r * _sandwich(J, Jd, rho)
-        return out
+        return _lindblad(*self._forward, rho)
 
     def adjoint_apply(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture generator acting on an observable."""
-        H = self.hamiltonian.entries
-        out = 1j * (H @ X - X @ H)
-        for t in self.terms:
-            J = t.jump_op.entries
-            JdJ = J.conj().T @ J
-            out += t.rate * (J.conj().T @ X @ J - 0.5 * (JdJ @ X + X @ JdJ))
-        return out
+        return _lindblad(*self._adjoint, X)
 
 
-def _sandwich(J: sp.csr_matrix, Jd: sp.csr_matrix, rho: np.ndarray) -> np.ndarray:
-    # J rho J^dag with sparse factors on both sides; the right factor is
-    # applied through a transpose to keep sparse-times-dense ordering.
-    left = J @ rho
-    return (Jd.T @ left.T).T
+def _lindblad(K: sp.csr_matrix, jumps: tuple, X: np.ndarray) -> np.ndarray:
+    # K X + X K^dag + sum_j r_j J_j X J_j^dag; each right product comes
+    # from a dagger, X K^dag = (K X^dag)^dag, so every product is sparse
+    # times dense and no sparse transpose is formed per call.
+    Xd = X.conj().T
+    out = K @ X + (K @ Xd).conj().T
+    for J, r in jumps:
+        out += r * (J @ (J @ Xd).conj().T)
+    return out
 
 
 def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:
@@ -134,9 +131,9 @@ def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:
     ``kron(1, K) + kron(conj(K), 1) + sum_j r_j kron(conj(J_j), J_j)``.
     """
     I = sp.identity(L.dim, format="csr")
-    K = L._drift
+    K, jumps = L._forward
     M = sp.kron(I, K, format="csr") + sp.kron(K.conj(), I, format="csr")
-    for J, _, r in L._jumps:
+    for J, r in jumps:
         M = M + r * sp.kron(J.conj(), J, format="csr")
     return M.tocsr()
 

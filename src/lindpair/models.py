@@ -151,9 +151,10 @@ class BuiltModel:
     """Assembled generator plus the analytic reference data.
 
     Besides the generator, the A excitation structure and the A-side
-    fixed point, it carries the A-only dissipative generator (for sector
-    restrictions), the B-side fixed point, the reference rate used to
-    scale times in reports, and the per-factor sector unit costs.
+    fixed point, it carries the A-side damping channels (``a_terms``, a
+    subset of ``L.terms``, for the sector splitting), the B-side fixed
+    point, the reference rate used to scale times in reports, and the
+    per-factor sector unit costs.
     """
 
     cfg: ModelConfig
@@ -161,7 +162,7 @@ class BuiltModel:
     es: ExcitationStructure
     analytic_A_steady: np.ndarray
     analytic_B_steady: np.ndarray
-    LA_dissipative: Liouvillian
+    a_terms: tuple[LindbladTerm, ...]
     reference_rate: float
     reference_name: str
     a_factors: tuple[int, ...]
@@ -177,18 +178,18 @@ def _build_two_spins(cfg: ModelConfig) -> BuiltModel:
     szB = hb.embed(sz, 1, sp)
     sxB = hb.embed(sm + splus, 1, sp)
     H = cfg.omega * (szA + szB) + cfg.Omega * (szA @ sxB)
-    terms = [
+    a_terms = (
         LindbladTerm(hb.embed(sm, 0, sp), cfg.gamma_A * (1.0 - cfg.s_A)),
         LindbladTerm(hb.embed(splus, 0, sp), cfg.gamma_A * cfg.s_A),
+    )
+    terms = a_terms + (
         LindbladTerm(hb.embed(sm, 1, sp), cfg.gamma_B * (1.0 - cfg.s_B)),
         LindbladTerm(hb.embed(splus, 1, sp), cfg.gamma_B * cfg.s_B),
-    ]
+    )
     L = Liouvillian(sp, H, terms)
-    zero = hb.Operator(sp, np.zeros((4, 4)))
-    LA = Liouvillian(sp, zero, terms[:2])
     es = build_excitation_structure(hb.space(spn))
     return BuiltModel(cfg, L, es, spin_steady(cfg.s_A), spin_steady(cfg.s_B),
-                      LA, cfg.gamma_A, "gamma_A", (0,), (1,),
+                      a_terms, cfg.gamma_A, "gamma_A", (0,), (1,),
                       ((cfg.gamma_A / 2.0, 1),))
 
 
@@ -203,21 +204,19 @@ def _build_spin_oscillator(cfg: ModelConfig) -> BuiltModel:
     xB = bC + bC.dagger()
     nB = bC.dagger() @ bC
     H = cfg.omega_A * szA + cfg.omega_B * nB + cfg.Omega * (szA @ xB)
-    a_terms = [
+    a_terms = (
         LindbladTerm(hb.embed(sm, 0, sp), cfg.gamma_A * (1.0 - cfg.s)),
         LindbladTerm(hb.embed(splus, 0, sp), cfg.gamma_A * cfg.s),
-    ]
-    terms = a_terms + [
+    )
+    terms = a_terms + (
         LindbladTerm(bC, cfg.gamma_B * (cfg.nbar + 1.0)),
         LindbladTerm(bC.dagger(), cfg.gamma_B * cfg.nbar),
-    ]
+    )
     L = Liouvillian(sp, H, terms)
-    d = sp.total_dim
-    LA = Liouvillian(sp, hb.Operator(sp, np.zeros((d, d))), a_terms)
     es = build_excitation_structure(hb.space(spn))
     return BuiltModel(cfg, L, es, spin_steady(cfg.s),
                       thermal_state(cfg.nbar, cfg.n_trunc),
-                      LA, cfg.gamma_A, "gamma_A", (0,), (1,),
+                      a_terms, cfg.gamma_A, "gamma_A", (0,), (1,),
                       ((cfg.gamma_A / 2.0, 1),))
 
 
@@ -232,21 +231,19 @@ def _build_optomechanical(cfg: ModelConfig) -> BuiltModel:
     nBop = b.dagger() @ b
     xB = b + b.dagger()
     H = cfg.omega * nA + cfg.nu * nBop + cfg.g * (nA @ xB)
-    a_terms = [
+    a_terms = (
         LindbladTerm(a, cfg.kappa * (cfg.nbar + 1.0)),
         LindbladTerm(a.dagger(), cfg.kappa * cfg.nbar),
-    ]
-    terms = a_terms + [
+    )
+    terms = a_terms + (
         LindbladTerm(b, cfg.gamma * (cfg.mbar + 1.0)),
         LindbladTerm(b.dagger(), cfg.gamma * cfg.mbar),
-    ]
+    )
     L = Liouvillian(sp, H, terms)
-    d = sp.total_dim
-    LA = Liouvillian(sp, hb.Operator(sp, np.zeros((d, d))), a_terms)
     es = build_excitation_structure(hb.space(oscA))
     return BuiltModel(cfg, L, es, thermal_state(cfg.nbar, na),
                       thermal_state(cfg.mbar, nb),
-                      LA, cfg.kappa, "kappa", (0,), (1,),
+                      a_terms, cfg.kappa, "kappa", (0,), (1,),
                       ((cfg.kappa / 2.0, None),))
 
 

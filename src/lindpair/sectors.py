@@ -37,11 +37,7 @@ __all__ = [
     "DecayBoundReport",
     "trotter_compare",
     "TrotterReport",
-    "TROTTER_DIM_CAP",
 ]
-
-# Sector superoperators are materialized dense only below this dimension.
-TROTTER_DIM_CAP = 32
 
 # Multiplicative slack on the decay bound, absorbing integrator error.
 TOL_BOUND = 1e-6
@@ -51,14 +47,13 @@ TOL_BOUND = 1e-6
 class ExcitationStructure:
     """Spectral data of the A-side excitation operator.
 
-    ``space`` covers only the A factors; ``VA`` is the diagonal
-    excitation operator; ``sectors`` maps each integer eigenvalue to the
-    A-basis indices spanning it; ``exc`` is the per-index eigenvalue
-    array the maps are derived from.
+    ``space`` covers only the A factors; ``sectors`` maps each integer
+    eigenvalue to the A-basis indices spanning it; ``exc`` is the
+    per-index eigenvalue array (the diagonal of the excitation operator)
+    the maps are derived from.
     """
 
     space: SpaceSpec
-    VA: Operator
     sectors: dict[int, tuple[int, ...]]
     exc: np.ndarray
 
@@ -93,11 +88,10 @@ def build_excitation_structure(spaceA: SpaceSpec) -> ExcitationStructure:
     exc = np.zeros(1, dtype=int)
     for c in counts:
         exc = (exc[:, None] + c[None, :]).reshape(-1)
-    VA = Operator(spaceA, np.diag(exc.astype(complex)))
     sectors: dict[int, tuple[int, ...]] = {}
     for v in np.unique(exc):
         sectors[int(v)] = tuple(int(i) for i in np.nonzero(exc == v)[0])
-    return ExcitationStructure(spaceA, VA, sectors, exc)
+    return ExcitationStructure(spaceA, sectors, exc)
 
 
 def _composite_exc(es: ExcitationStructure, rho: np.ndarray) -> np.ndarray:
@@ -253,10 +247,7 @@ class TrotterReport:
 def sector_generator_matrix(L: Liouvillian, es: ExcitationStructure,
                             l: int) -> np.ndarray:
     """Dense superoperator of L restricted to sector l (vec indices)."""
-    d = L.dim
-    if d > TROTTER_DIM_CAP:
-        raise ValueError(f"sector materialization capped at dim {TROTTER_DIM_CAP}")
-    idx = sector_vec_indices(es, d, l)
+    idx = sector_vec_indices(es, L.dim, l)
     return sparse_superoperator(L)[idx][:, idx].toarray()
 
 
@@ -272,12 +263,12 @@ def trotter_compare(model, l: int, t: float,
     """
     L: Liouvillian = model.L
     es: ExcitationStructure = model.es
-    if L.dim > TROTTER_DIM_CAP:
-        raise ValueError(f"trotter_compare capped at dim {TROTTER_DIM_CAP}")
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 1 or N_list[0] < 1:
         raise ValueError("N_list must contain positive integers")
-    MA = sector_generator_matrix(model.LA_dissipative, es, l)
+    zero = Operator(L.space, np.zeros((L.dim, L.dim)))
+    MA = sector_generator_matrix(Liouvillian(L.space, zero, model.a_terms),
+                                 es, l)
     Mfull = sector_generator_matrix(L, es, l)
     Mrest = Mfull - MA
     comm = MA @ Mrest - Mrest @ MA

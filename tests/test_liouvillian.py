@@ -12,15 +12,19 @@ from lindpair.liouvillian import (Liouvillian, LindbladTerm,
 
 
 def _random_model(seed: int, dim_b: int = 3):
-    """Spin x oscillator pair with random hermitian H and two jumps."""
+    """Spin x oscillator pair with random hermitian H and two jumps.
+
+    The spin jump has complex entries, so a transpose taken where a
+    conjugate transpose belongs shows up in every check."""
     rng = np.random.default_rng(seed)
     sp = hb.space(hb.spin(), hb.oscillator(dim_b))
     d = sp.total_dim
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     H = hb.Operator(sp, 0.5 * (X + X.conj().T))
-    sm, _, _ = hb.mk_spin_ops(hb.spin())
+    sm, splus, _ = hb.mk_spin_ops(hb.spin())
     b = hb.mk_destroy(hb.oscillator(dim_b))
-    terms = [LindbladTerm(hb.embed(sm, 0, sp), 0.5 + rng.uniform(0, 2)),
+    jump = sm + 0.4j * splus
+    terms = [LindbladTerm(hb.embed(jump, 0, sp), 0.5 + rng.uniform(0, 2)),
              LindbladTerm(hb.embed(b, 1, sp), 0.5 + rng.uniform(0, 2))]
     return Liouvillian(sp, H, terms), rng
 
@@ -65,10 +69,8 @@ def test_matrix_free_matches_superoperator():
     L, rng = _random_model(11, dim_b=4)
     d = L.dim
     M = sparse_superoperator(L).toarray()
-    rho = _random_state(rng, d)
-    via_vec = (M @ rho.flatten(order="F")).reshape(d, d, order="F")
-    direct = L.apply(rho)
-    assert np.abs(via_vec - direct).max() <= 1e-12 * np.abs(direct).max()
+    vec = lambda X: X.flatten(order="F")
+    unvec = lambda v: v.reshape(d, d, order="F")
     # term-by-term reference built from H and the jumps, not the drift
     I = np.eye(d)
     H = L.hamiltonian.entries
@@ -79,6 +81,17 @@ def test_matrix_free_matches_superoperator():
         ref += t.rate * (np.kron(J.conj(), J) - 0.5 * np.kron(I, JdJ)
                          - 0.5 * np.kron(JdJ.T, I))
     assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+    rho = _random_state(rng, d)
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    for state in (rho, X):
+        direct = L.apply(state)
+        for S in (M, ref):
+            err = np.abs(unvec(S @ vec(state)) - direct).max()
+            assert err <= 1e-12 * np.abs(direct).max()
+        # the Heisenberg-picture adjoint is the conjugate transpose
+        adj = L.adjoint_apply(state)
+        err = np.abs(unvec(ref.conj().T @ vec(state)) - adj).max()
+        assert err <= 1e-12 * np.abs(adj).max()
 
 
 def test_adjoint_of_identity_vanishes():

@@ -111,8 +111,8 @@ def test_build_optomechanical_structure():
     rho = np.kron(bm.analytic_A_steady, bm.analytic_B_steady)
     assert rho.shape == (20, 20)
     assert np.isclose(np.trace(rho).real, 1.0)
-    # A-only generator ignores the interaction and the B bath
-    assert len(bm.LA_dissipative.terms) == 2
+    # A-side damping excludes the interaction and the B bath
+    assert len(bm.a_terms) == 2
 
 
 def test_interaction_preserves_a_marginal():

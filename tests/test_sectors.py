@@ -14,7 +14,7 @@ from lindpair.sectors import (build_excitation_structure,
                               project_sector, project_sector_pair,
                               sector_decay_rate, sector_generator_matrix,
                               sector_pair_mask, sector_vec_indices,
-                              trotter_compare, TROTTER_DIM_CAP)
+                              trotter_compare)
 
 
 def _models():
@@ -209,12 +209,3 @@ def test_trotter_first_order():
     assert rep.fitted_order == pytest.approx(1.0, abs=0.2)
     ratio = rep.errors[64] / rep.errors[32]
     assert ratio == pytest.approx(0.5, abs=0.1)
-
-
-def test_trotter_dimension_cap():
-    bm = build_model(ModelConfig(model="spin_oscillator", omega_A=1.0,
-                                 omega_B=1.0, gamma_A=1.0, gamma_B=1.0,
-                                 s=0.5, nbar=0.0, Omega=0.5,
-                                 n_trunc=TROTTER_DIM_CAP))
-    with pytest.raises(ValueError):
-        trotter_compare(bm, 1, 1.0, [2, 4])
