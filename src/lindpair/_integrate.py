@@ -21,7 +21,7 @@ def rk4_step(f, t, y, h):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate_adaptive(f, y0, t0, t1, tol=1e-10, h0=None, callback=None):
+def integrate_adaptive(f, y0, t0, t1, tol=1e-10):
     """Integrate dy/dt = f(t, y) from t0 to t1.
 
     Parameters
@@ -34,24 +34,19 @@ def integrate_adaptive(f, y0, t0, t1, tol=1e-10, h0=None, callback=None):
         Integration window, ``t1 >= t0``.
     tol : float
         Local error tolerance per step, relative to ``max(1, |y|_max)``.
-    h0 : float, optional
-        Initial step; defaults to ``(t1 - t0) / 100``.
-    callback : callable, optional
-        ``callback(t, y)`` after every accepted step; returning True stops
-        the integration early.
+        The first step is ``(t1 - t0) / 100``.
 
     Returns
     -------
     ndarray
-        State at ``t1`` (or at the early-stop time).
+        State at ``t1``.
     """
     y = np.asarray(y0, dtype=complex).copy()
     t = float(t0)
     t1 = float(t1)
     if t1 <= t:
         return y
-    h = (t1 - t) / 100.0 if h0 is None else float(h0)
-    h = min(h, t1 - t)
+    h = (t1 - t) / 100.0
     while t < t1 - 1e-15 * max(1.0, abs(t1)):
         h = min(h, t1 - t)
         y_big = rk4_step(f, t, y, h)
@@ -62,8 +57,6 @@ def integrate_adaptive(f, y0, t0, t1, tol=1e-10, h0=None, callback=None):
         if err <= tol * scale:
             y = y_small + (y_small - y_big) / 15.0
             t += h
-            if callback is not None and callback(t, y):
-                return y
             if err > 0:
                 h *= min(4.0, 0.9 * (tol * scale / err) ** 0.2)
             else:

@@ -144,15 +144,12 @@ def cmd_steady(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = parse_config(args.config)
-    bm = build_model(cfg)
+    bm = build_model(parse_config(args.config))
     out = _outdir(args)
     rows = []
-    fA = bm.L.space.factors[0]
-    if fA.kind == hb.SPIN:
-        gamma = cfg.gamma_A
-        mbar = cfg.s_A if cfg.model == "two_spins" else cfg.s
-        se = spin_eigensystem(gamma, mbar)
+    if bm.L.space.factors[0].kind == hb.SPIN:
+        se = spin_eigensystem(bm.reference_rate,
+                              bm.analytic_A_steady[1, 1].real)
         labels = ["stationary", "population", "coherence_plus",
                   "coherence_minus"]
         for lab, lam in zip(labels, se.eigenvalues):
@@ -167,7 +164,7 @@ def cmd_spectrum(args) -> int:
         M = sparse_superoperator(bm.L).toarray()
         for lam in sorted(np.linalg.eigvals(M), key=lambda z: -z.real):
             rows.append(["full_numeric", "", lam.real, lam.imag])
-    _write_csv(_outdir(args) / "spectrum.csv",
+    _write_csv(out / "spectrum.csv",
                ["family", "label", "re", "im"], rows)
     return 0
 

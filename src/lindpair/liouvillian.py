@@ -34,11 +34,7 @@ __all__ = [
     "Liouvillian",
     "sparse_superoperator",
     "trace_row_indices",
-    "TOL_TRACE",
 ]
-
-# Trace of L(rho) must vanish to this tolerance relative to |rho|_max.
-TOL_TRACE = 1e-12
 
 
 @dataclass(frozen=True)

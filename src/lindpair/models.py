@@ -1,14 +1,22 @@
-"""Prebuilt model factories for the three coupled-pair systems.
+"""The three coupled-pair models, described by one table.
 
-Each factory assembles the full generator L = L_A + L_B - i[H_I, .] on
-the truncated product space, together with the excitation structure of
-system A and the analytic fixed points of the uncoupled subsystems.
-The interaction couples the A excitation operator to a B quadrature
-(spin-x or position), written with the A operator in its spin-z form
-where the source model uses it; the difference to the excitation
-operator is a multiple of identity, which shifts only a pure-B
-Hamiltonian term and leaves the sector structure and every commutation
-property untouched.
+Every model is an instance of one form.  A and B each relax under their
+own thermal bath, and the coupling is A's excitation operator times a B
+quadrature:
+
+    H = w_A E_A + w_B E_B + c E_A (l_B + l_B^dag),
+    jumps l at rate r (1 - s) or r (nbar + 1), l^dag at rate r s or r nbar,
+
+with ``E = sigma_z`` and ``l = sigma_-`` for a spin, ``E = n`` and
+``l = a`` for an oscillator.  For a spin ``sigma_z`` differs from the
+excitation operator by a multiple of identity, which shifts only a
+pure-B Hamiltonian term and leaves the sector structure and every
+commutation property untouched.
+
+``_MODELS`` is the single source for the role of each config field: it
+names, per model, the factor kind and the frequency, rate and occupation
+fields of each side plus the coupling field.  Validation (required
+fields, ranges, the shape of ``n_trunc``) and assembly both read it.
 
 Configs parse from JSON with strict unknown-key rejection; field names
 in JSON match the ModelConfig attributes one to one.
@@ -25,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import hilbert as hb
+from .hilbert import OSCILLATOR, SPIN
 from .liouvillian import LindbladTerm, Liouvillian
 from .sectors import ExcitationStructure, build_excitation_structure
 from .steady import solve_steady, spin_steady, thermal_state, SteadyReport
@@ -38,19 +47,18 @@ __all__ = [
     "model_steady",
 ]
 
-MODEL_NAMES = ("two_spins", "spin_oscillator", "optomechanical")
-
-_REQUIRED = {
-    "two_spins": ("omega", "gamma_A", "gamma_B", "s_A", "s_B", "Omega"),
-    "spin_oscillator": ("omega_A", "omega_B", "gamma_A", "gamma_B", "s",
-                        "nbar", "Omega", "n_trunc"),
-    "optomechanical": ("omega", "nu", "kappa", "gamma", "nbar", "mbar",
-                       "g", "n_trunc"),
+# model -> (A side, B side, coupling field); a side is
+# (factor kind, frequency field, rate field, occupation field)
+_MODELS = {
+    "two_spins": ((SPIN, "omega", "gamma_A", "s_A"),
+                  (SPIN, "omega", "gamma_B", "s_B"), "Omega"),
+    "spin_oscillator": ((SPIN, "omega_A", "gamma_A", "s"),
+                        (OSCILLATOR, "omega_B", "gamma_B", "nbar"), "Omega"),
+    "optomechanical": ((OSCILLATOR, "omega", "kappa", "nbar"),
+                       (OSCILLATOR, "nu", "gamma", "mbar"), "g"),
 }
 
-_POSITIVE = ("gamma_A", "gamma_B", "kappa", "gamma")
-_NONNEG = ("nbar", "mbar", "g", "Omega")
-_UNIT = ("s", "s_A", "s_B")
+MODEL_NAMES = tuple(_MODELS)
 
 
 @dataclass(frozen=True)
@@ -80,10 +88,13 @@ class ModelConfig:
     n_trunc: object = None
 
     def __post_init__(self):
-        if self.model not in MODEL_NAMES:
+        if self.model not in _MODELS:
             raise ValueError(
                 f"unknown model {self.model!r}; expected one of {MODEL_NAMES}")
-        required = _REQUIRED[self.model]
+        a, b, coupling = _MODELS[self.model]
+        n_osc = (a[0], b[0]).count(OSCILLATOR)
+        required = tuple(dict.fromkeys(
+            a[1:] + b[1:] + (coupling,) + (("n_trunc",) if n_osc else ())))
         for name in required:
             if getattr(self, name) is None:
                 raise ValueError(f"model {self.model!r} needs field {name!r}")
@@ -94,31 +105,28 @@ class ModelConfig:
                     f"field {f.name!r} does not apply to model {self.model!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v}")
-        for name in _POSITIVE:
-            v = getattr(self, name)
-            if v is not None and not v > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in _NONNEG:
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in _UNIT:
-            v = getattr(self, name)
-            if v is not None and not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.n_trunc is not None:
-            if self.model == "spin_oscillator":
-                if not isinstance(self.n_trunc, int) or self.n_trunc < 2:
-                    raise ValueError("n_trunc must be an int >= 2")
-            else:
-                trunc = self.n_trunc
-                if isinstance(trunc, list):
-                    trunc = tuple(trunc)
-                    object.__setattr__(self, "n_trunc", trunc)
-                if not (isinstance(trunc, tuple) and len(trunc) == 2
-                        and all(isinstance(n, int) and n >= 2 for n in trunc)):
-                    raise ValueError(
-                        "n_trunc must be a pair of ints >= 2 for this model")
+        for kind, _, rate, occ in (a, b):
+            if not getattr(self, rate) > 0:
+                raise ValueError(f"{rate} must be positive")
+            v = getattr(self, occ)
+            if kind == SPIN and not 0.0 <= v <= 1.0:
+                raise ValueError(f"{occ} must lie in [0, 1]")
+            if kind == OSCILLATOR and v < 0:
+                raise ValueError(f"{occ} must be nonnegative")
+        if getattr(self, coupling) < 0:
+            raise ValueError(f"{coupling} must be nonnegative")
+        if n_osc == 1:
+            if not isinstance(self.n_trunc, int) or self.n_trunc < 2:
+                raise ValueError("n_trunc must be an int >= 2")
+        elif n_osc == 2:
+            trunc = self.n_trunc
+            if isinstance(trunc, list):
+                trunc = tuple(trunc)
+                object.__setattr__(self, "n_trunc", trunc)
+            if not (isinstance(trunc, tuple) and len(trunc) == 2
+                    and all(isinstance(n, int) and n >= 2 for n in trunc)):
+                raise ValueError(
+                    "n_trunc must be a pair of ints >= 2 for this model")
 
 
 def parse_config(source) -> ModelConfig:
@@ -170,91 +178,39 @@ class BuiltModel:
     a_unit_costs: tuple
 
 
-def _build_two_spins(cfg: ModelConfig) -> BuiltModel:
-    spn = hb.spin()
-    sp = hb.space(spn, spn)
-    sm, splus, sz = hb.mk_spin_ops(spn)
-    szA = hb.embed(sz, 0, sp)
-    szB = hb.embed(sz, 1, sp)
-    sxB = hb.embed(sm + splus, 1, sp)
-    H = cfg.omega * (szA + szB) + cfg.Omega * (szA @ sxB)
-    a_terms = (
-        LindbladTerm(hb.embed(sm, 0, sp), cfg.gamma_A * (1.0 - cfg.s_A)),
-        LindbladTerm(hb.embed(splus, 0, sp), cfg.gamma_A * cfg.s_A),
-    )
-    terms = a_terms + (
-        LindbladTerm(hb.embed(sm, 1, sp), cfg.gamma_B * (1.0 - cfg.s_B)),
-        LindbladTerm(hb.embed(splus, 1, sp), cfg.gamma_B * cfg.s_B),
-    )
-    L = Liouvillian(sp, H, terms)
-    es = build_excitation_structure(hb.space(spn))
-    return BuiltModel(cfg, L, es, spin_steady(cfg.s_A), spin_steady(cfg.s_B),
-                      a_terms, cfg.gamma_A, "gamma_A", (0,), (1,),
-                      ((cfg.gamma_A / 2.0, 1),))
-
-
-def _build_spin_oscillator(cfg: ModelConfig) -> BuiltModel:
-    spn = hb.spin()
-    osc = hb.oscillator(cfg.n_trunc)
-    sp = hb.space(spn, osc)
-    sm, splus, sz = hb.mk_spin_ops(spn)
-    b = hb.mk_destroy(osc)
-    szA = hb.embed(sz, 0, sp)
-    bC = hb.embed(b, 1, sp)
-    xB = bC + bC.dagger()
-    nB = bC.dagger() @ bC
-    H = cfg.omega_A * szA + cfg.omega_B * nB + cfg.Omega * (szA @ xB)
-    a_terms = (
-        LindbladTerm(hb.embed(sm, 0, sp), cfg.gamma_A * (1.0 - cfg.s)),
-        LindbladTerm(hb.embed(splus, 0, sp), cfg.gamma_A * cfg.s),
-    )
-    terms = a_terms + (
-        LindbladTerm(bC, cfg.gamma_B * (cfg.nbar + 1.0)),
-        LindbladTerm(bC.dagger(), cfg.gamma_B * cfg.nbar),
-    )
-    L = Liouvillian(sp, H, terms)
-    es = build_excitation_structure(hb.space(spn))
-    return BuiltModel(cfg, L, es, spin_steady(cfg.s),
-                      thermal_state(cfg.nbar, cfg.n_trunc),
-                      a_terms, cfg.gamma_A, "gamma_A", (0,), (1,),
-                      ((cfg.gamma_A / 2.0, 1),))
-
-
-def _build_optomechanical(cfg: ModelConfig) -> BuiltModel:
-    na, nb = cfg.n_trunc
-    oscA = hb.oscillator(na)
-    oscB = hb.oscillator(nb)
-    sp = hb.space(oscA, oscB)
-    a = hb.embed(hb.mk_destroy(oscA), 0, sp)
-    b = hb.embed(hb.mk_destroy(oscB), 1, sp)
-    nA = a.dagger() @ a
-    nBop = b.dagger() @ b
-    xB = b + b.dagger()
-    H = cfg.omega * nA + cfg.nu * nBop + cfg.g * (nA @ xB)
-    a_terms = (
-        LindbladTerm(a, cfg.kappa * (cfg.nbar + 1.0)),
-        LindbladTerm(a.dagger(), cfg.kappa * cfg.nbar),
-    )
-    terms = a_terms + (
-        LindbladTerm(b, cfg.gamma * (cfg.mbar + 1.0)),
-        LindbladTerm(b.dagger(), cfg.gamma * cfg.mbar),
-    )
-    L = Liouvillian(sp, H, terms)
-    es = build_excitation_structure(hb.space(oscA))
-    return BuiltModel(cfg, L, es, thermal_state(cfg.nbar, na),
-                      thermal_state(cfg.mbar, nb),
-                      a_terms, cfg.kappa, "kappa", (0,), (1,),
-                      ((cfg.kappa / 2.0, None),))
-
-
 def build_model(cfg) -> BuiltModel:
     """Assemble the generator and reference data for a config."""
     cfg = parse_config(cfg)
-    if cfg.model == "two_spins":
-        return _build_two_spins(cfg)
-    if cfg.model == "spin_oscillator":
-        return _build_spin_oscillator(cfg)
-    return _build_optomechanical(cfg)
+    a, b, coupling = _MODELS[cfg.model]
+    truncs = iter(cfg.n_trunc if isinstance(cfg.n_trunc, tuple)
+                  else (cfg.n_trunc,))
+    factors = [hb.spin() if kind == SPIN else hb.oscillator(next(truncs))
+               for kind, *_ in (a, b)]
+    sp = hb.space(*factors)
+    lower, exc, terms, fixed = [], [], [], []
+    for i, ((kind, _, rate, occ), f) in enumerate(zip((a, b), factors)):
+        r, x = getattr(cfg, rate), getattr(cfg, occ)
+        if kind == SPIN:
+            sm, _, sz = hb.mk_spin_ops(f)
+            low, E = hb.embed(sm, i, sp), hb.embed(sz, i, sp)
+            down, rho = 1.0 - x, spin_steady(x)
+        else:
+            low = hb.embed(hb.mk_destroy(f), i, sp)
+            E = low.dagger() @ low
+            down, rho = x + 1.0, thermal_state(x, f.dim)
+        lower.append(low)
+        exc.append(E)
+        terms += [LindbladTerm(low, r * down),
+                  LindbladTerm(low.dagger(), r * x)]
+        fixed.append(rho)
+    H = getattr(cfg, a[1]) * exc[0] + getattr(cfg, b[1]) * exc[1] \
+        + getattr(cfg, coupling) * (exc[0] @ (lower[1] + lower[1].dagger()))
+    L = Liouvillian(sp, H, terms)
+    es = build_excitation_structure(hb.space(factors[0]))
+    rate_A = getattr(cfg, a[2])
+    return BuiltModel(cfg, L, es, fixed[0], fixed[1], L.terms[:2], rate_A,
+                      a[2], (0,), (1,),
+                      ((rate_A / 2.0, 1 if a[0] == SPIN else None),))
 
 
 def model_steady(bm: BuiltModel) -> SteadyReport:

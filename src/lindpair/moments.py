@@ -161,32 +161,25 @@ def steady_optomech(cfg) -> tuple:
     return n_photon, n_phonon
 
 
-def _rates_of(cfg) -> list:
-    rates = []
-    for name in ("gamma_A", "gamma_B", "kappa", "gamma"):
-        v = getattr(cfg, name, None)
-        if v:
-            rates.append(float(v))
-    return rates
-
-
-def moments_to_steady(cfg, which: str, tol_settle: float = 1e-12,
+def moments_to_steady(cfg, tol_settle: float = 1e-12,
                       max_windows: int = 10000) -> np.ndarray:
-    """Integrate a moment system until it stops moving.
+    """Integrate the moment system of ``cfg.model`` until it stops moving.
 
-    Advances one relaxation window ``1/min(rates)`` at a time and stops
-    when the relative change over a window drops below ``tol_settle``.
-    Returns the final moment vector (complex).
+    Advances one relaxation window ``1/min(rate_A, rate_B)`` at a time
+    and stops when the relative change over a window drops below
+    ``tol_settle``.  Returns the final moment vector (complex).
     """
-    if which == "spin_oscillator":
+    if cfg.model == "spin_oscillator":
         rhs = _spin_osc_rhs(cfg)
         y = np.zeros(4, dtype=complex)
-    elif which == "optomechanical":
+        rates = (cfg.gamma_A, cfg.gamma_B)
+    elif cfg.model == "optomechanical":
         rhs = _optomech_rhs(cfg)
         y = np.zeros(5, dtype=complex)
+        rates = (cfg.kappa, cfg.gamma)
     else:
-        raise ValueError(f"unknown moment system {which!r}")
-    window = 1.0 / min(_rates_of(cfg))
+        raise ValueError(f"no moment system for model {cfg.model!r}")
+    window = 1.0 / min(rates)
     for _ in range(max_windows):
         y_next = integrate_adaptive(rhs, y, 0.0, window, tol=1e-12)
         change = np.abs(y_next - y).max() / max(1.0, np.abs(y_next).max())

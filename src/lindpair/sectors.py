@@ -125,17 +125,18 @@ def project_sector_pair(es: ExcitationStructure, rho, l: int) -> np.ndarray:
     if l < 1:
         raise ValueError("sector pair projector needs l >= 1")
     rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    v = _composite_exc(es, rho)
-    mask = np.abs(v[:, None] - v[None, :]) == l
-    return np.where(mask, rho, 0.0)
+    d = rho.shape[0]
+    if rho.shape != (d, d):
+        raise ValueError("state must be a square matrix")
+    return np.where(sector_pair_mask(es, d, l), rho, 0.0)
 
 
 def sector_pair_mask(es: ExcitationStructure, total_dim: int,
                      l: int) -> np.ndarray:
-    """Boolean entry mask of the +-l sector pair at a given total dim."""
+    """Boolean entry mask of the +-l sector pair (l >= 0) at a total dim."""
+    if l < 0:
+        raise ValueError(f"sector pair needs l >= 0, got l={l}")
     v = es.composite_excitation(total_dim)
-    if l == 0:
-        return (v[:, None] - v[None, :]) == 0
     return np.abs(v[:, None] - v[None, :]) == l
 
 

@@ -46,20 +46,6 @@ def test_tolerance_scaling():
     assert fine < coarse or fine < 1e-12
 
 
-def test_callback_early_stop():
-    seen = []
-
-    def cb(t, y):
-        seen.append(t)
-        return t >= 0.5  # True stops the run
-
-    f = lambda t, y: -y
-    integrate_adaptive(f, np.array([1.0 + 0j]), 0.0, 10.0, tol=1e-8,
-                       callback=cb)
-    assert seen and seen[-1] >= 0.5 and seen[-1] < 10.0
-    assert all(t < 0.5 for t in seen[:-1])
-
-
 def test_step_underflow_raises():
     # beyond t = 0.5 every step estimate is NaN, so every step is
     # rejected and the size collapses through the floor

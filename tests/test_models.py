@@ -7,6 +7,7 @@ import pytest
 
 from lindpair.evolve import trace_norm
 from lindpair.hilbert import partial_trace
+from lindpair.liouvillian import sparse_superoperator
 from lindpair.models import (BuiltModel, ModelConfig, build_model,
                              model_steady, parse_config)
 
@@ -40,10 +41,12 @@ def test_parse_config_rejects_unknown_keys():
 
 
 def test_required_and_irrelevant_fields():
-    missing = dict(TWO_SPINS)
-    del missing["s_B"]
-    with pytest.raises(ValueError, match="needs field 's_B'"):
-        parse_config(missing)
+    for full in (TWO_SPINS, SPIN_OSC, OPTOMECH):
+        for name in set(full) - {"model"}:
+            missing = dict(full)
+            del missing[name]
+            with pytest.raises(ValueError, match=f"needs field '{name}'"):
+                parse_config(missing)
     with pytest.raises(ValueError, match="does not apply"):
         parse_config(dict(TWO_SPINS, nbar=0.5))
 
@@ -113,6 +116,75 @@ def test_build_optomechanical_structure():
     assert np.isclose(np.trace(rho).real, 1.0)
     # A-side damping excludes the interaction and the B bath
     assert len(bm.a_terms) == 2
+
+
+# Every numeric field distinct, so a field read in the wrong role changes
+# the generator.
+_DISTINCT = {
+    "two_spins": dict(model="two_spins", omega=0.7, gamma_A=1.3,
+                      gamma_B=0.45, s_A=0.85, s_B=0.25, Omega=0.6),
+    "spin_oscillator": dict(model="spin_oscillator", omega_A=0.7,
+                            omega_B=1.9, gamma_A=1.3, gamma_B=0.45, s=0.85,
+                            nbar=0.35, Omega=0.6, n_trunc=4),
+    "optomechanical": dict(model="optomechanical", omega=0.7, nu=1.9,
+                           kappa=1.3, gamma=0.45, nbar=0.35, mbar=0.15,
+                           g=0.6, n_trunc=(3, 4)),
+}
+
+_SM = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma_-, |0> is the ground state
+_SZ = np.diag([-1.0, 1.0])
+_I2 = np.eye(2)
+
+
+def _ladder(n):
+    return np.diag(np.sqrt(np.arange(1.0, n)), 1)
+
+
+def _reference(c):
+    """H and the four (jump, rate) pairs from the README formulas."""
+    kron = np.kron
+    if c["model"] == "two_spins":
+        lA, lB = kron(_SM, _I2), kron(_I2, _SM)
+        H = c["omega"] * (kron(_SZ, _I2) + kron(_I2, _SZ)) \
+            + c["Omega"] * kron(_SZ, _SM + _SM.T)
+        rates = (c["gamma_A"] * (1 - c["s_A"]), c["gamma_A"] * c["s_A"],
+                 c["gamma_B"] * (1 - c["s_B"]), c["gamma_B"] * c["s_B"])
+    elif c["model"] == "spin_oscillator":
+        b, In = _ladder(c["n_trunc"]), np.eye(c["n_trunc"])
+        lA, lB = kron(_SM, In), kron(_I2, b)
+        H = c["omega_A"] * kron(_SZ, In) + c["omega_B"] * kron(_I2, b.T @ b) \
+            + c["Omega"] * kron(_SZ, b + b.T)
+        rates = (c["gamma_A"] * (1 - c["s"]), c["gamma_A"] * c["s"],
+                 c["gamma_B"] * (c["nbar"] + 1), c["gamma_B"] * c["nbar"])
+    else:
+        na, nb = c["n_trunc"]
+        a, b = _ladder(na), _ladder(nb)
+        lA, lB = kron(a, np.eye(nb)), kron(np.eye(na), b)
+        H = c["omega"] * kron(a.T @ a, np.eye(nb)) \
+            + c["nu"] * kron(np.eye(na), b.T @ b) \
+            + c["g"] * kron(a.T @ a, b + b.T)
+        rates = (c["kappa"] * (c["nbar"] + 1), c["kappa"] * c["nbar"],
+                 c["gamma"] * (c["mbar"] + 1), c["gamma"] * c["mbar"])
+    return H, list(zip((lA, lA.T, lB, lB.T), rates))
+
+
+@pytest.mark.parametrize("model", sorted(_DISTINCT))
+def test_build_matches_reference_generator(model):
+    c = _DISTINCT[model]
+    H, jumps = _reference(c)
+    # column-stacking superoperator, A rho B -> kron(B^T, A), term by term
+    I = np.eye(H.shape[0])
+    ref = -1j * (np.kron(I, H) - np.kron(H.T, I))
+    for J, r in jumps:
+        JdJ = J.T @ J
+        ref += r * (np.kron(J, J) - 0.5 * np.kron(I, JdJ)
+                    - 0.5 * np.kron(JdJ.T, I))
+    bm = build_model(c)
+    M = sparse_superoperator(bm.L).toarray()
+    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the A pair comes first and forms a_terms
+    for t, (J, r) in zip(bm.a_terms, jumps[:2], strict=True):
+        assert np.array_equal(t.jump_op.entries, J) and t.rate == r
 
 
 def test_interaction_preserves_a_marginal():

@@ -106,17 +106,19 @@ def test_optomech_steady_closed_form():
 
 def test_moments_settle_to_closed_forms():
     cfg = _so_cfg()
-    y = moments_to_steady(cfg, "spin_oscillator")
+    y = moments_to_steady(cfg)
     assert y[0].real == pytest.approx(steady_spin_osc_excitation(cfg),
                                       abs=1e-8)
     assert y[3].real == pytest.approx(2 * 0.7 - 1.0, abs=1e-10)
     cfg2 = _om_cfg()
-    y2 = moments_to_steady(cfg2, "optomechanical")
+    y2 = moments_to_steady(cfg2)
     n_ph, n_b = steady_optomech(cfg2)
     assert y2[0].real == pytest.approx(n_b, abs=1e-8)
     assert y2[4].real == pytest.approx(n_ph, abs=1e-10)
     with pytest.raises(ValueError):
-        moments_to_steady(cfg, "two_spins")
+        moments_to_steady(ModelConfig(model="two_spins", omega=1.0,
+                                      gamma_A=1.0, gamma_B=1.0, s_A=0.5,
+                                      s_B=0.5, Omega=0.5))
 
 
 def test_moment_parameter_validation():

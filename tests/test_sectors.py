@@ -187,6 +187,9 @@ def test_decay_bound_violation_detected():
     rho0 = np.outer(psi, psi.conj())
     with pytest.raises(RuntimeError, match="decay bound violated"):
         check_decay_bound(lying, rho0, np.linspace(0.0, 2.0, 9), ls=[1])
+    # a negative sector label fails early instead of passing vacuously
+    with pytest.raises(ValueError, match="l=-1"):
+        check_decay_bound(lying, rho0, np.linspace(0.0, 2.0, 9), ls=[-1])
 
 
 def test_trotter_commuting_split():
