@@ -3,7 +3,7 @@
 Both coupled pairs admit a finite set of operator expectations whose
 equations of motion close on themselves, so the occupation dynamics of
 system B comes out of a handful of ODEs instead of a density matrix.
-The demo integrates both routes and overlays them, then compares the
+The demo runs both routes and overlays them, then compares the
 long-time limits with the closed-form stationary values.
 """
 
@@ -12,7 +12,7 @@ import numpy as np
 from lindpair import (
     MomentStateOptomech, MomentStateSpinOsc,
     build_model, evolve, parse_config,
-    integrate_optomech_moments, integrate_spin_osc_moments,
+    integrate_moments,
     steady_optomech, steady_spin_osc_excitation,
 )
 import lindpair.hilbert as hb
@@ -35,7 +35,7 @@ def spin_osc_case():
     rec = evolve(bm.L, rho0, t, observables={"n": number})
 
     # maximally mixed spin and empty oscillator: every moment starts at 0
-    mom = integrate_spin_osc_moments(cfg, MomentStateSpinOsc(), t)
+    mom = integrate_moments(cfg, MomentStateSpinOsc(), t)
     return cfg, t, rec.observables["n"].real, mom
 
 
@@ -52,7 +52,7 @@ def optomech_case():
     nb = hb.embed(hb.mk_number(hb.oscillator(dims[1])), 1, bm.L.space)
     rec = evolve(bm.L, rho0, t, observables={"nb": nb})
 
-    mom = integrate_optomech_moments(cfg, MomentStateOptomech(), t)
+    mom = integrate_moments(cfg, MomentStateOptomech(), t)
     return cfg, t, rec.observables["nb"].real, mom
 
 

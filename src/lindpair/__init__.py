@@ -30,8 +30,7 @@ from .steady import (
 )
 from .moments import (
     MomentStateSpinOsc, MomentStateOptomech, GaussianAnsatz,
-    integrate_spin_osc_moments, steady_spin_osc_excitation,
-    integrate_optomech_moments, steady_optomech,
+    integrate_moments, steady_spin_osc_excitation, steady_optomech,
     integrate_gaussian_ansatz, moments_to_steady,
 )
 from .models import (

@@ -23,9 +23,8 @@ from .evolve import certify_truncation, evolve, trace_norm
 from .liouvillian import sparse_superoperator
 from .models import BuiltModel, ModelConfig, build_model, model_steady, parse_config
 from .moments import steady_spin_osc_excitation
-from .sectors import (build_excitation_structure, check_decay_bound,
-                      excitation_commutator, project_sector,
-                      sector_pair_mask)
+from .sectors import (check_decay_bound, excitation_commutator,
+                      project_sector, sector_pair_mask)
 from .spectral import spin_eigensystem
 
 
@@ -135,7 +134,6 @@ def cmd_steady(args) -> int:
                 return {"pop_B": float(red[1, 1].real)}
             return {"n_B": float(np.trace(nb @ red).real)}
         summary["truncation_shift"] = certify_truncation(cfg, extractor)
-        report.truncation_shift = summary["truncation_shift"]
     path = out / "steady_summary.json"
     path.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {path}")

@@ -103,7 +103,11 @@ class ModelConfig:
             if v is not None and f.name not in ("model",) + required:
                 raise ValueError(
                     f"field {f.name!r} does not apply to model {self.model!r}")
-            if isinstance(v, float) and not math.isfinite(v):
+            if v is None or f.name in ("model", "n_trunc"):
+                continue
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"{f.name} must be a number, got {v!r}")
+            if not math.isfinite(v):
                 raise ValueError(f"{f.name} must be finite, got {v}")
         for kind, _, rate, occ in (a, b):
             if not getattr(self, rate) > 0:

@@ -2,10 +2,11 @@
 
 For the spin-oscillator pair the set (<b^dag b>, <s_z b>, <b>, <s_z>)
 closes; for the two coupled oscillators the set (<b^dag b>, <a^dag a b>,
-<b>, <(a^dag a)^2>, <a^dag a>) does.  Both systems are integrated with
-the shared adaptive RK4; the steady formulas are the t -> infinity
-limits and the tests confirm that to 1e-8 by integrating one relaxation
-window at a time until the relative change drops below 1e-12.
+<b>, <(a^dag a)^2>, <a^dag a>) does.  Both systems are linear with
+constant coefficients, ``x' = M x + c`` on the real and imaginary parts
+of the moments, so the fixed point is one linear solve and a trajectory
+is one matrix exponential per sample; the steady formulas are the
+t -> infinity limits and the tests confirm them to 1e-12.
 
 The quasi-probability ansatz coefficients (a, b, c, d) evolve by the
 equations exactly as printed in the source analysis; their role here is
@@ -16,9 +17,10 @@ discretized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
+import scipy.linalg
 
 from ._integrate import integrate_adaptive
 
@@ -26,9 +28,8 @@ __all__ = [
     "MomentStateSpinOsc",
     "MomentStateOptomech",
     "GaussianAnsatz",
-    "integrate_spin_osc_moments",
+    "integrate_moments",
     "steady_spin_osc_excitation",
-    "integrate_optomech_moments",
     "steady_optomech",
     "integrate_gaussian_ansatz",
     "moments_to_steady",
@@ -64,7 +65,7 @@ def _spin_osc_rhs(cfg):
     wB, gA, gB = cfg.omega_B, cfg.gamma_A, cfg.gamma_B
     Om, s, nbar = cfg.Omega, cfg.s, cfg.nbar
 
-    def rhs(t, y):
+    def rhs(y):
         nb, szb, b, sz = y
         d_nb = -2.0 * Om * szb.imag - gB * nb.real + gB * nbar
         d_szb = (-1j * wB - gB / 2.0 - gA) * szb - 1j * Om \
@@ -74,26 +75,6 @@ def _spin_osc_rhs(cfg):
         return np.array([d_nb, d_szb, d_b, d_sz], dtype=complex)
 
     return rhs
-
-
-def integrate_spin_osc_moments(cfg, m0: MomentStateSpinOsc, t_grid,
-                               tol: float = 1e-10) -> dict:
-    """Integrate the closed spin-oscillator moment set over ``t_grid``."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    y = np.array([m0.b_dag_b, m0.sz_b, m0.b, m0.sz], dtype=complex)
-    rhs = _spin_osc_rhs(cfg)
-    out = np.empty((len(t_grid), 4), dtype=complex)
-    out[0] = y
-    for i in range(1, len(t_grid)):
-        y = integrate_adaptive(rhs, y, t_grid[i - 1], t_grid[i], tol=tol)
-        out[i] = y
-    return {
-        "times": t_grid.copy(),
-        "b_dag_b": out[:, 0].real,
-        "sz_b": out[:, 1],
-        "b": out[:, 2],
-        "sz": out[:, 3].real,
-    }
 
 
 def steady_spin_osc_excitation(cfg) -> float:
@@ -112,7 +93,7 @@ def _optomech_rhs(cfg):
     nu, kappa, gamma = cfg.nu, cfg.kappa, cfg.gamma
     g, nbar, mbar = cfg.g, cfg.nbar, cfg.mbar
 
-    def rhs(t, y):
+    def rhs(y):
         nb, nab, b, nsq, na = y
         d_nb = -2.0 * g * nab.imag - gamma * nb.real + gamma * mbar
         d_nab = kappa * nbar * b - 0.5 * (gamma + 2.0 * (kappa + 1j * nu)) * nab \
@@ -124,28 +105,6 @@ def _optomech_rhs(cfg):
         return np.array([d_nb, d_nab, d_b, d_nsq, d_na], dtype=complex)
 
     return rhs
-
-
-def integrate_optomech_moments(cfg, m0: MomentStateOptomech, t_grid,
-                               tol: float = 1e-10) -> dict:
-    """Integrate the closed two-oscillator moment set over ``t_grid``."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    y = np.array([m0.b_dag_b, m0.adaga_b, m0.b, m0.adaga_sq, m0.adaga],
-                 dtype=complex)
-    rhs = _optomech_rhs(cfg)
-    out = np.empty((len(t_grid), 5), dtype=complex)
-    out[0] = y
-    for i in range(1, len(t_grid)):
-        y = integrate_adaptive(rhs, y, t_grid[i - 1], t_grid[i], tol=tol)
-        out[i] = y
-    return {
-        "times": t_grid.copy(),
-        "b_dag_b": out[:, 0].real,
-        "adaga_b": out[:, 1],
-        "b": out[:, 2],
-        "adaga_sq": out[:, 3].real,
-        "adaga": out[:, 4].real,
-    }
 
 
 def steady_optomech(cfg) -> tuple:
@@ -161,32 +120,75 @@ def steady_optomech(cfg) -> tuple:
     return n_photon, n_phonon
 
 
-def moments_to_steady(cfg, tol_settle: float = 1e-12,
-                      max_windows: int = 10000) -> np.ndarray:
-    """Integrate the moment system of ``cfg.model`` until it stops moving.
+# model -> (right-hand-side builder, moment state class)
+_SYSTEMS = {
+    "spin_oscillator": (_spin_osc_rhs, MomentStateSpinOsc),
+    "optomechanical": (_optomech_rhs, MomentStateOptomech),
+}
 
-    Advances one relaxation window ``1/min(rate_A, rate_B)`` at a time
-    and stops when the relative change over a window drops below
-    ``tol_settle``.  Returns the final moment vector (complex).
+
+def _affine(cfg):
+    """``(M, c)`` with ``x' = M x + c`` on ``x = [Re y, Im y]``.
+
+    Every term of the right-hand sides above is a complex constant times
+    a moment, a constant, or a ``.real``/``.imag`` part, so the flow is
+    real-affine and M and c are read off it at zero and at the 2n unit
+    vectors.
     """
-    if cfg.model == "spin_oscillator":
-        rhs = _spin_osc_rhs(cfg)
-        y = np.zeros(4, dtype=complex)
-        rates = (cfg.gamma_A, cfg.gamma_B)
-    elif cfg.model == "optomechanical":
-        rhs = _optomech_rhs(cfg)
-        y = np.zeros(5, dtype=complex)
-        rates = (cfg.kappa, cfg.gamma)
-    else:
+    if cfg.model not in _SYSTEMS:
         raise ValueError(f"no moment system for model {cfg.model!r}")
-    window = 1.0 / min(rates)
-    for _ in range(max_windows):
-        y_next = integrate_adaptive(rhs, y, 0.0, window, tol=1e-12)
-        change = np.abs(y_next - y).max() / max(1.0, np.abs(y_next).max())
-        y = y_next
-        if change < tol_settle:
-            return y
-    raise RuntimeError("moment system failed to settle")
+    build_rhs, state_cls = _SYSTEMS[cfg.model]
+    rhs, n = build_rhs(cfg), len(fields(state_cls))
+
+    def flow(x):
+        dy = rhs(x[:n] + 1j * x[n:])
+        return np.concatenate([dy.real, dy.imag])
+
+    c = flow(np.zeros(2 * n))
+    M = np.column_stack([flow(e) - c for e in np.eye(2 * n)])
+    return M, c
+
+
+def moments_to_steady(cfg) -> np.ndarray:
+    """Fixed point of the moment system of ``cfg.model`` (complex vector).
+
+    Solves ``M x = -c``.  A coordinate with no drift at all (zero row of
+    M, zero c) is the imaginary part of a real moment; it is conserved
+    and held at its starting value 0.
+    """
+    M, c = _affine(cfg)
+    moving = M.any(axis=1) | (c != 0)
+    x = np.zeros(len(c))
+    x[moving] = np.linalg.solve(M[np.ix_(moving, moving)], -c[moving])
+    n = len(c) // 2
+    return x[:n] + 1j * x[n:]
+
+
+def integrate_moments(cfg, m0, t_grid) -> dict:
+    """Propagate the moment system of ``cfg.model`` from ``m0`` over ``t_grid``.
+
+    Exact: the state at ``t`` is ``expm(G (t - t0)) [x0, 1]`` with the
+    augmented generator ``G = [[M, c], [0, 0]]``.  Returns ``times`` and
+    one array per field of ``m0``, real for the real moments.
+    """
+    M, c = _affine(cfg)
+    state_cls = _SYSTEMS[cfg.model][1]
+    if not isinstance(m0, state_cls):
+        raise ValueError(f"model {cfg.model!r} needs a {state_cls.__name__}, "
+                         f"got {type(m0).__name__}")
+    n = len(c) // 2
+    G = np.zeros((2 * n + 1, 2 * n + 1))
+    G[:-1, :-1], G[:-1, -1] = M, c
+    y0 = np.array(astuple(m0), dtype=complex)
+    x0 = np.concatenate([y0.real, y0.imag, [1.0]])
+    t_grid = np.asarray(t_grid, dtype=float)
+    xs = np.array([scipy.linalg.expm(G * (t - t_grid[0])) @ x0
+                   for t in t_grid])
+    out = {"times": t_grid.copy()}
+    for k, f in enumerate(fields(m0)):
+        real = f.type == "float"
+        out[f.name] = xs[:, k] if real else xs[:, k] + 1j * xs[:, n + k]
+    return out
 
 
 def integrate_gaussian_ansatz(cfg, init: GaussianAnsatz, t_grid,

@@ -47,14 +47,11 @@ TOL_BOUND = 1e-6
 class ExcitationStructure:
     """Spectral data of the A-side excitation operator.
 
-    ``space`` covers only the A factors; ``sectors`` maps each integer
-    eigenvalue to the A-basis indices spanning it; ``exc`` is the
-    per-index eigenvalue array (the diagonal of the excitation operator)
-    the maps are derived from.
+    ``space`` covers only the A factors; ``exc`` is the per-index
+    eigenvalue array (the diagonal of the excitation operator).
     """
 
     space: SpaceSpec
-    sectors: dict[int, tuple[int, ...]]
     exc: np.ndarray
 
     def composite_excitation(self, total_dim: int) -> np.ndarray:
@@ -88,10 +85,7 @@ def build_excitation_structure(spaceA: SpaceSpec) -> ExcitationStructure:
     exc = np.zeros(1, dtype=int)
     for c in counts:
         exc = (exc[:, None] + c[None, :]).reshape(-1)
-    sectors: dict[int, tuple[int, ...]] = {}
-    for v in np.unique(exc):
-        sectors[int(v)] = tuple(int(i) for i in np.nonzero(exc == v)[0])
-    return ExcitationStructure(spaceA, sectors, exc)
+    return ExcitationStructure(spaceA, exc)
 
 
 def _composite_exc(es: ExcitationStructure, rho: np.ndarray) -> np.ndarray:

@@ -50,19 +50,16 @@ COEFF_EXACT_CAP = 25
 class SteadyReport:
     """Solver output with its own quality metrics.
 
-    ``residual`` is the trace norm of ``L(rho_st)``;
-    ``truncation_shift`` stays None unless a truncation certification
-    filled it in; ``block_dim`` is the number of unknowns solved (the
-    size of the block that holds the trace); ``clipped_weight`` is the
-    total negative eigenvalue weight removed by the positivity repair;
-    ``degenerate`` flags a null space of dimension above one (reported,
-    not resolved).
+    ``residual`` is the trace norm of ``L(rho_st)``; ``block_dim`` is
+    the number of unknowns solved (the size of the block that holds the
+    trace); ``clipped_weight`` is the total negative eigenvalue weight
+    removed by the positivity repair; ``degenerate`` flags a null space
+    of dimension above one (reported, not resolved).
     """
 
     rho_st: Operator
     residual: float
     block_dim: int
-    truncation_shift: float | None = None
     clipped_weight: float = 0.0
     degenerate: bool = False
 

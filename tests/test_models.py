@@ -69,6 +69,17 @@ def test_range_validation():
         parse_config(dict(SPIN_OSC, omega_A=float("inf")))
     with pytest.raises(ValueError, match="Omega"):
         parse_config(dict(SPIN_OSC, Omega=float("nan")))
+    # a number of the wrong type fails at parse time with the field named;
+    # JSON integers stay valid
+    with pytest.raises(ValueError, match="omega"):
+        parse_config(dict(TWO_SPINS, omega="1.0"))
+    with pytest.raises(ValueError, match="gamma_A"):
+        parse_config(dict(TWO_SPINS, gamma_A="1.0"))
+    with pytest.raises(ValueError, match="s_A"):
+        parse_config(dict(TWO_SPINS, s_A=[0.5]))
+    with pytest.raises(ValueError, match="Omega"):
+        parse_config(dict(TWO_SPINS, Omega=True))
+    assert parse_config(dict(TWO_SPINS, gamma_A=1)).gamma_A == 1
 
 
 def test_n_trunc_validation():

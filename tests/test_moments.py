@@ -3,15 +3,17 @@ against their stationary closed forms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lindpair import hilbert as hb
 from lindpair.evolve import evolve
 from lindpair.models import ModelConfig, build_model
-from lindpair.moments import (GaussianAnsatz, MomentStateOptomech,
-                              MomentStateSpinOsc, integrate_gaussian_ansatz,
-                              integrate_optomech_moments,
-                              integrate_spin_osc_moments, moments_to_steady,
-                              steady_optomech, steady_spin_osc_excitation)
+from lindpair.moments import (_SYSTEMS, GaussianAnsatz, MomentStateOptomech,
+                              MomentStateSpinOsc, _affine,
+                              integrate_gaussian_ansatz, integrate_moments,
+                              moments_to_steady, steady_optomech,
+                              steady_spin_osc_excitation)
 
 
 def _so_cfg(**kw):
@@ -32,16 +34,20 @@ def _om_cfg(**kw):
 def test_sz_unbiased_pumping_stays_zero():
     # at s = 1/2 the spin polarization has no drift from zero
     cfg = _so_cfg(s=0.5, Omega=2.0)
-    res = integrate_spin_osc_moments(cfg, MomentStateSpinOsc(),
-                                     np.linspace(0.0, 8.0, 17))
+    res = integrate_moments(cfg, MomentStateSpinOsc(),
+                            np.linspace(0.0, 8.0, 17))
     assert np.abs(res["sz"]).max() <= 1e-12
 
 
 def test_sz_relaxes_to_bias():
     cfg = _so_cfg(s=0.7)
-    res = integrate_spin_osc_moments(cfg, MomentStateSpinOsc(),
-                                     np.linspace(0.0, 40.0, 11))
+    res = integrate_moments(cfg, MomentStateSpinOsc(),
+                            np.linspace(0.0, 40.0, 11))
     assert res["sz"][-1] == pytest.approx(2 * 0.7 - 1.0, abs=1e-10)
+    # the system is autonomous: a grid shifted in time gives the same run
+    shifted = integrate_moments(cfg, MomentStateSpinOsc(),
+                                np.linspace(5.0, 45.0, 11))
+    assert np.abs(shifted["b_dag_b"] - res["b_dag_b"]).max() <= 1e-12
 
 
 def test_spin_osc_moments_match_full_propagation():
@@ -52,15 +58,16 @@ def test_spin_osc_moments_match_full_propagation():
     sp = bm.L.space
     n_op = hb.embed(hb.mk_number(osc), 1, sp)
     sz_op = hb.embed(hb.mk_spin_ops(spn)[2], 0, sp)
+    b_op = hb.embed(hb.mk_destroy(osc), 1, sp)
     rho0 = np.kron(0.5 * np.eye(2), np.diag([1.0] + [0.0] * (d - 1))) \
         .astype(complex)
     t_grid = np.linspace(0.0, 6.0, 13)
-    rec = evolve(bm.L, rho0, t_grid, observables={"n": n_op, "sz": sz_op},
-                 tol=1e-9)
-    res = integrate_spin_osc_moments(cfg, MomentStateSpinOsc(), t_grid,
-                                     tol=1e-9)
+    rec = evolve(bm.L, rho0, t_grid,
+                 observables={"n": n_op, "sz": sz_op, "b": b_op}, tol=1e-9)
+    res = integrate_moments(cfg, MomentStateSpinOsc(), t_grid)
     assert np.abs(rec.observables["n"].real - res["b_dag_b"]).max() <= 1e-6
     assert np.abs(rec.observables["sz"].real - res["sz"]).max() <= 1e-8
+    assert np.abs(rec.observables["b"] - res["b"]).max() <= 1e-8
 
 
 def test_optomech_moments_match_full_propagation():
@@ -75,8 +82,7 @@ def test_optomech_moments_match_full_propagation():
     t_grid = np.linspace(0.0, 4.0, 9)
     rec = evolve(bm.L, rho0, t_grid, observables={"nA": nA, "nB": nB},
                  tol=1e-9)
-    res = integrate_optomech_moments(cfg, MomentStateOptomech(), t_grid,
-                                     tol=1e-9)
+    res = integrate_moments(cfg, MomentStateOptomech(), t_grid)
     assert np.abs(rec.observables["nA"].real - res["adaga"]).max() <= 1e-6
     assert np.abs(rec.observables["nB"].real - res["b_dag_b"]).max() <= 1e-5
 
@@ -108,17 +114,52 @@ def test_moments_settle_to_closed_forms():
     cfg = _so_cfg()
     y = moments_to_steady(cfg)
     assert y[0].real == pytest.approx(steady_spin_osc_excitation(cfg),
-                                      abs=1e-8)
-    assert y[3].real == pytest.approx(2 * 0.7 - 1.0, abs=1e-10)
+                                      rel=1e-12)
+    assert y[3].real == pytest.approx(2 * 0.7 - 1.0, rel=1e-12)
     cfg2 = _om_cfg()
     y2 = moments_to_steady(cfg2)
     n_ph, n_b = steady_optomech(cfg2)
-    assert y2[0].real == pytest.approx(n_b, abs=1e-8)
-    assert y2[4].real == pytest.approx(n_ph, abs=1e-10)
+    assert y2[0].real == pytest.approx(n_b, rel=1e-12)
+    assert y2[4].real == pytest.approx(n_ph, rel=1e-12)
     with pytest.raises(ValueError):
         moments_to_steady(ModelConfig(model="two_spins", omega=1.0,
                                       gamma_A=1.0, gamma_B=1.0, s_A=0.5,
                                       s_B=0.5, Omega=0.5))
+    # a moment state of the other model is rejected, naming the model
+    with pytest.raises(ValueError, match="spin_oscillator"):
+        integrate_moments(cfg, MomentStateOptomech(), [0.0, 1.0])
+
+
+_freq, _rate, _occ = st.floats(0.0, 3.0), st.floats(0.1, 3.0), st.floats(0.0, 2.0)
+_moment_cfgs = st.one_of(
+    st.builds(ModelConfig, model=st.just("spin_oscillator"), omega_A=_freq,
+              omega_B=_freq, gamma_A=_rate, gamma_B=_rate,
+              s=st.floats(0.0, 1.0), nbar=_occ, Omega=st.floats(0.0, 3.0),
+              n_trunc=st.just(4)),
+    st.builds(ModelConfig, model=st.just("optomechanical"), omega=_freq,
+              nu=_freq, kappa=_rate, gamma=_rate, nbar=_occ, mbar=_occ,
+              g=st.floats(0.0, 3.0), n_trunc=st.just((4, 4))),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_moment_cfgs, st.integers(0, 10 ** 6))
+def test_random_moment_fixed_points(cfg, seed):
+    y = moments_to_steady(cfg)
+    if cfg.model == "spin_oscillator":
+        expect = {0: steady_spin_osc_excitation(cfg), 3: 2 * cfg.s - 1.0}
+    else:
+        n_ph, n_b = steady_optomech(cfg)
+        expect = {0: n_b, 4: n_ph}
+    for k, v in expect.items():
+        assert y[k].real == pytest.approx(v, rel=1e-12)
+    # the affine form read off the printed equations reproduces them
+    M, c = _affine(cfg)
+    n = len(c) // 2
+    x = np.random.default_rng(seed).normal(size=2 * n)
+    dy = _SYSTEMS[cfg.model][0](cfg)(x[:n] + 1j * x[n:])
+    flow = np.concatenate([dy.real, dy.imag])
+    assert np.abs(M @ x + c - flow).max() <= 1e-13 * max(1.0, np.abs(flow).max())
 
 
 def test_moment_parameter_validation():

@@ -42,7 +42,6 @@ def test_excitation_arrays():
     assert list(es2.exc) == [0, 1, 2, 3, 4]
     es3 = build_excitation_structure(hb.space(hb.spin(), hb.oscillator(3)))
     assert list(es3.exc) == [0, 1, 2, 1, 2, 3]
-    assert es3.sectors[2] == (2, 4)
     assert es3.max_excitation == 3
     # composite index repeats each A excitation across the B block
     assert list(es.composite_excitation(6)) == [0, 0, 0, 1, 1, 1]
