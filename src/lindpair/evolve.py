@@ -130,7 +130,8 @@ def evolve(L: Liouvillian, rho0, t_grid,
             raise RuntimeError(
                 f"trace drifted to {tr:.12g} at sample {i}; aborting")
         for (name, _), mat in zip(obs_items, obs_mats):
-            obs_out[name][i] = np.trace(mat @ state)
+            # Tr(O rho) as an elementwise sum, O(d^2) instead of a product
+            obs_out[name][i] = np.einsum("ij,ji->", mat, state)
         if dist_out is not None:
             red = partial_trace(Operator(L.space, state), keep_factors)
             dist_out[i] = trace_norm(red.entries - distance_target)

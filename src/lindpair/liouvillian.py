@@ -1,27 +1,23 @@
-"""Lindblad generators: matrix-free application and sparse superoperators.
+"""Lindblad generators and their cached sparse superoperator.
 
 A generator is stored as a hamiltonian plus weighted jump operators,
 
     L(rho) = -i [H, rho] + sum_j r_j ( J_j rho J_j^dag
                                        - (J_j^dag J_j rho + rho J_j^dag J_j) / 2 ).
 
-With the non-hermitian drift ``K = -i H - (1/2) sum_j r_j J_j^dag J_j``
-both directions are one kernel,
-
-    X -> K X + X K^dag + sum_j r_j J_j X J_j^dag,
-
-run on ``(K, J_j)`` for L and on ``(K^dag, J_j^dag)`` for the
-Heisenberg-picture adjoint L^dag.  Both sets are cached sparse when the
-generator is built, so one call costs a handful of sparse-dense products
-instead of a superoperator matvec.  The superoperator (column-stacking
-convention, ``A rho B -> kron(B^T, A) vec(rho)``) is assembled sparse
-from the same cached drift and jumps; it feeds the steady-state solve,
-spectra and sector restrictions.
+Its superoperator ``S`` (column-stacking convention,
+``A rho B -> kron(B^T, A) vec(rho)``) is assembled on first use as one
+read-only CSR matrix and cached on the generator: ``apply`` is one
+sparse matvec with ``S``, the Heisenberg-picture adjoint one with
+``S^dag`` (cached on its first call), and :func:`sparse_superoperator`
+hands the same ``S`` to the steady-state solve, spectra and sector
+restrictions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -66,8 +62,6 @@ class Liouvillian:
     space: SpaceSpec
     hamiltonian: Operator
     terms: tuple[LindbladTerm, ...]
-    _forward: tuple = field(init=False, repr=False, default=None)
-    _adjoint: tuple = field(init=False, repr=False, default=None)
 
     def __init__(self, space: SpaceSpec, hamiltonian: Operator,
                  terms: Sequence[LindbladTerm] = ()):
@@ -81,57 +75,59 @@ class Liouvillian:
         self.space = space
         self.hamiltonian = hamiltonian
         self.terms = tuple(terms)
-        self._build_cache()
-
-    def _build_cache(self):
-        # (drift, ((jump, rate), ...)) for L and, daggered, for L^dag
-        jumps = [(t.jump_op.entries, t.rate) for t in self.terms]
-        K = -1j * self.hamiltonian.entries
-        for J, r in jumps:
-            K = K - 0.5 * r * (J.conj().T @ J)
-        csr = sp.csr_matrix
-        self._forward = (csr(K), tuple((csr(J), r) for J, r in jumps))
-        self._adjoint = (csr(K.conj().T),
-                         tuple((csr(J.conj().T), r) for J, r in jumps))
 
     @property
     def dim(self) -> int:
         return self.space.total_dim
 
+    @cached_property
+    def _S(self) -> sp.csr_matrix:
+        # kron(1, K) + kron(conj K, 1) + sum_j r_j kron(conj J_j, J_j),
+        # with the drift K = -i H - (1/2) sum_j r_j J_j^dag J_j
+        K = -1j * self.hamiltonian.entries
+        for t in self.terms:
+            J = t.jump_op.entries
+            K = K - 0.5 * t.rate * (J.conj().T @ J)
+        I = sp.identity(self.dim, format="csr")
+        K = sp.csr_matrix(K)
+        S = sp.kron(I, K, format="csr") + sp.kron(K.conj(), I, format="csr")
+        for t in self.terms:
+            J = sp.csr_matrix(t.jump_op.entries)
+            S = S + t.rate * sp.kron(J.conj(), J, format="csr")
+        # canonical, so scipy never sorts the shared arrays in place
+        S.sum_duplicates()
+        for a in (S.data, S.indices, S.indptr):
+            a.flags.writeable = False
+        return S
+
+    @cached_property
+    def _S_dag(self) -> sp.csr_matrix:
+        return self._S.conj().T.tocsr()
+
+    def _matvec(self, S: sp.csr_matrix, X) -> np.ndarray:
+        d = self.dim
+        if X.shape != (d, d):
+            raise ValueError(f"expected a ({d}, {d}) matrix, got {X.shape}")
+        return (S @ X.reshape(-1, order="F")).reshape(d, d, order="F")
+
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """L(rho) for a dense matrix ``rho`` (no superoperator assembly)."""
-        return _lindblad(*self._forward, rho)
+        """L(rho) for a dense ``(d, d)`` matrix: one matvec with ``S``."""
+        return self._matvec(self._S, rho)
 
     def adjoint_apply(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture generator acting on an observable."""
-        return _lindblad(*self._adjoint, X)
-
-
-def _lindblad(K: sp.csr_matrix, jumps: tuple, X: np.ndarray) -> np.ndarray:
-    # K X + X K^dag + sum_j r_j J_j X J_j^dag; each right product comes
-    # from a dagger, X K^dag = (K X^dag)^dag, so every product is sparse
-    # times dense and no sparse transpose is formed per call.
-    Xd = X.conj().T
-    out = K @ X + (K @ Xd).conj().T
-    for J, r in jumps:
-        out += r * (J @ (J @ Xd).conj().T)
-    return out
+        return self._matvec(self._S_dag, X)
 
 
 def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:
-    """Column-stacking superoperator as a sparse matrix (any dimension).
+    """The generator's column-stacking superoperator, shared and read-only.
 
     ``vec`` is column-major flattening, so ``A rho B`` maps to
-    ``kron(B^T, A)``, and the cached drift and jumps of
-    ``K rho + rho K^dag + sum_j r_j J_j rho J_j^dag`` give
-    ``kron(1, K) + kron(conj(K), 1) + sum_j r_j kron(conj(J_j), J_j)``.
+    ``kron(B^T, A)``.  The matrix is assembled on first use and cached on
+    ``L``; every call returns the same object, the one ``L.apply`` uses,
+    so its arrays are not writeable.
     """
-    I = sp.identity(L.dim, format="csr")
-    K, jumps = L._forward
-    M = sp.kron(I, K, format="csr") + sp.kron(K.conj(), I, format="csr")
-    for J, r in jumps:
-        M = M + r * sp.kron(J.conj(), J, format="csr")
-    return M.tocsr()
+    return L._S
 
 
 def trace_row_indices(d: int) -> np.ndarray:

@@ -96,12 +96,23 @@ def test_distance_and_sector_recording():
     psi[0] = psi[6] = 1.0 / np.sqrt(2.0)
     rho0 = np.outer(psi, psi.conj())
     t = np.linspace(0.0, 2.0, 5)
-    rec = evolve(bm.L, rho0, t, distance_target=bm.analytic_A_steady,
+    rng = np.random.default_rng(7)
+    obs = {"n_B": hb.embed(hb.mk_number(bm.L.space.factors[1]), 1,
+                           bm.L.space),
+           "X": rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))}
+    rec = evolve(bm.L, rho0, t, observables=obs,
+                 distance_target=bm.analytic_A_steady,
                  keep_factors=(0,),
-                 sector_masks={1: sector_pair_mask(bm.es, d, 1)})
+                 sector_masks={1: sector_pair_mask(bm.es, d, 1)},
+                 store_states=True)
     assert rec.trace_norm_distance_to_A_steady.shape == (5,)
     assert np.all(np.diff(rec.sector_pair_norms[1]) < 0)
     assert rec.final_state.shape == (d, d)
+    for name, O in obs.items():
+        O = np.asarray(getattr(O, "entries", O))
+        ref = np.array([np.trace(O @ rho) for rho in rec.states])
+        err = np.abs(rec.observables[name] - ref).max()
+        assert err <= 1e-12 * np.abs(ref).max()
 
 
 def test_unnormalized_initial_state_rejected():

@@ -1,5 +1,6 @@
 """Generator structure: trace annihilation, hermiticity, adjoint pairing,
-and agreement between the matrix-free action and the vectorized form."""
+the cached superoperator against a term-by-term dense reference, and the
+input checks and sharing rules of ``apply`` and ``sparse_superoperator``."""
 
 import numpy as np
 import pytest
@@ -85,13 +86,44 @@ def test_matrix_free_matches_superoperator():
     X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     for state in (rho, X):
         direct = L.apply(state)
-        for S in (M, ref):
-            err = np.abs(unvec(S @ vec(state)) - direct).max()
-            assert err <= 1e-12 * np.abs(direct).max()
+        err = np.abs(unvec(ref @ vec(state)) - direct).max()
+        assert err <= 1e-12 * np.abs(direct).max()
         # the Heisenberg-picture adjoint is the conjugate transpose
         adj = L.adjoint_apply(state)
         err = np.abs(unvec(ref.conj().T @ vec(state)) - adj).max()
         assert err <= 1e-12 * np.abs(adj).max()
+
+
+def test_apply_rejects_wrong_shapes():
+    L, _ = _random_model(3)
+    d = L.dim
+    for bad in (np.zeros(d * d, dtype=complex),
+                np.zeros((d + 1, d + 1), dtype=complex)):
+        for fn in (L.apply, L.adjoint_apply):
+            with pytest.raises(ValueError, match=rf"\({d}, {d}\)"):
+                fn(bad)
+
+
+def test_apply_ignores_memory_layout():
+    L, rng = _random_model(8)
+    d = L.dim
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    big = np.zeros((2 * d, 3 * d), dtype=complex)
+    big[::2, ::3] = X
+    for fn in (L.apply, L.adjoint_apply):
+        for state in (X.T, np.asfortranarray(X), big[::2, ::3]):
+            want = fn(np.ascontiguousarray(state))
+            assert np.abs(fn(state) - want).max() <= \
+                1e-15 * np.abs(want).max()
+
+
+def test_superoperator_is_shared_and_read_only():
+    L, _ = _random_model(2)
+    S = sparse_superoperator(L)
+    assert sparse_superoperator(L) is S
+    assert not any(a.flags.writeable for a in (S.data, S.indices, S.indptr))
+    with pytest.raises(ValueError):
+        sparse_superoperator(L).data *= 2
 
 
 def test_adjoint_of_identity_vanishes():
