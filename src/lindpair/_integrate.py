@@ -41,7 +41,9 @@ def integrate_adaptive(f, y0, t0, t1, tol=1e-10):
     ndarray
         State at ``t1``.
     """
-    y = np.asarray(y0, dtype=complex).copy()
+    # order="K" keeps the caller's layout, so that a column-major state
+    # gives column-major stage sums
+    y = np.asarray(y0, dtype=complex).copy(order="K")
     t = float(t0)
     t1 = float(t1)
     if t1 <= t:

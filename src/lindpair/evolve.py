@@ -105,7 +105,9 @@ def evolve(L: Liouvillian, rho0, t_grid,
     store_states : bool
         Keep every sampled density matrix (memory permitting).
     """
-    rho = np.asarray(getattr(rho0, "entries", rho0), dtype=complex).copy()
+    # column-major, the layout L.apply reads and returns without a copy
+    rho = np.asarray(getattr(rho0, "entries", rho0),
+                     dtype=complex).copy(order="F")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")

@@ -12,6 +12,14 @@ sparse matvec with ``S``, the Heisenberg-picture adjoint one with
 ``S^dag`` (cached on its first call), and :func:`sparse_superoperator`
 hands the same ``S`` to the steady-state solve, spectra and sector
 restrictions.
+
+``S`` is written as one list of (row, column, value) triplets, the
+outer products of the nonzeros of each kron factor, in a single
+preallocated buffer (int32 indices, complex values), and converted to
+CSR once.  Building it from ``scipy.sparse.kron`` calls and sparse
+additions instead creates and validates a new sparse matrix at every
+step, a fixed cost that dominated at small d (2-4 ms against 0.2-0.3 ms
+for one ``S`` at d=4).
 """
 
 from __future__ import annotations
@@ -35,14 +43,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LindbladTerm:
-    """One dissipation channel: jump operator with a nonnegative rate."""
+    """One dissipation channel: jump operator with a finite nonnegative rate."""
 
     jump_op: Operator
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError(f"negative rate {self.rate}")
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError(
+                f"rate must be finite and nonnegative, got {self.rate}")
 
 
 @dataclass(eq=False)
@@ -83,19 +92,38 @@ class Liouvillian:
     @cached_property
     def _S(self) -> sp.csr_matrix:
         # kron(1, K) + kron(conj K, 1) + sum_j r_j kron(conj J_j, J_j),
-        # with the drift K = -i H - (1/2) sum_j r_j J_j^dag J_j
+        # with the drift K = -i H - (1/2) sum_j r_j J_j^dag J_j, written
+        # term by term into one triplet buffer and converted once
+        d = self.dim
         K = -1j * self.hamiltonian.entries
         for t in self.terms:
             J = t.jump_op.entries
             K = K - 0.5 * t.rate * (J.conj().T @ J)
-        I = sp.identity(self.dim, format="csr")
-        K = sp.csr_matrix(K)
-        S = sp.kron(I, K, format="csr") + sp.kron(K.conj(), I, format="csr")
+        one = _nonzeros(np.eye(d))
+        k = _nonzeros(K)
+        krons = [(1.0, one, k), (1.0, (k[0], k[1], k[2].conj()), one)]
         for t in self.terms:
-            J = sp.csr_matrix(t.jump_op.entries)
-            S = S + t.rate * sp.kron(J.conj(), J, format="csr")
-        # canonical, so scipy never sorts the shared arrays in place
-        S.sum_duplicates()
+            r, c, v = _nonzeros(t.jump_op.entries)
+            krons.append((t.rate, (r, c, v.conj()), (r, c, v)))
+        n = sum(a[2].size * b[2].size for _, a, b in krons)
+        rows = np.empty(n, dtype=np.int32)
+        cols = np.empty(n, dtype=np.int32)
+        vals = np.empty(n, dtype=complex)
+        end = 0
+        for rate, (ra, ca, va), (rb, cb, vb) in krons:
+            start, end = end, end + va.size * vb.size
+            shape = (va.size, vb.size)
+            # kron(A, B)[i d + k, j d + l] = A[i, j] B[k, l]
+            np.add.outer(ra * d, rb, out=rows[start:end].reshape(shape))
+            np.add.outer(ca * d, cb, out=cols[start:end].reshape(shape))
+            np.multiply.outer(va, vb, out=vals[start:end].reshape(shape))
+            vals[start:end] *= rate
+        # the conversion sums duplicates and leaves S canonical, so scipy
+        # never sorts the shared arrays in place; stored zeros (zero
+        # rates, cancellations) go, since the steady solver would read
+        # them as couplings between blocks
+        S = sp.coo_matrix((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+        S.eliminate_zeros()
         for a in (S.data, S.indices, S.indptr):
             a.flags.writeable = False
         return S
@@ -117,6 +145,12 @@ class Liouvillian:
     def adjoint_apply(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture generator acting on an observable."""
         return self._matvec(self._S_dag, X)
+
+
+def _nonzeros(M: np.ndarray):
+    """Rows, columns (int32) and values of the nonzeros of a dense matrix."""
+    r, c = np.nonzero(M)
+    return r.astype(np.int32), c.astype(np.int32), M[r, c]
 
 
 def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:

@@ -68,6 +68,24 @@ def test_damped_oscillator_mean_occupation():
     assert np.abs(rec.observables["n"].real - expect).max() < 1e-8
 
 
+def test_apply_inputs_are_column_major(monkeypatch):
+    # L.apply reads column-major states without a copy; evolve must hand
+    # it only those, even from a row-major initial state
+    sp, L = _damped_oscillator(6)
+    seen = []
+    apply = L.apply
+
+    def spy(X):
+        seen.append(X.flags.f_contiguous)
+        return apply(X)
+
+    monkeypatch.setattr(L, "apply", spy)
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[2, 2] = 1.0
+    evolve(L, rho, np.linspace(0.0, 1.0, 3))
+    assert seen and all(seen)
+
+
 def test_contraction_in_trace_norm():
     sp, L = _damped_oscillator(8, 1.0, 0.1)
     rng = np.random.default_rng(4)

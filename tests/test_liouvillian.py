@@ -1,6 +1,7 @@
 """Generator structure: trace annihilation, hermiticity, adjoint pairing,
-the cached superoperator against a term-by-term dense reference, and the
-input checks and sharing rules of ``apply`` and ``sparse_superoperator``."""
+the cached superoperator against a term-by-term dense reference (edge
+generators included) and its CSR layout, and the input checks and
+sharing rules of ``apply`` and ``sparse_superoperator``."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lindpair import hilbert as hb
 from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator, trace_row_indices)
+from lindpair.models import ModelConfig, build_model
 
 
 def _random_model(seed: int, dim_b: int = 3):
@@ -66,13 +68,9 @@ def test_adjoint_pairing(seed):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
-def test_matrix_free_matches_superoperator():
-    L, rng = _random_model(11, dim_b=4)
+def _dense_reference(L):
+    """Term-by-term kron superoperator built from H and the jumps."""
     d = L.dim
-    M = sparse_superoperator(L).toarray()
-    vec = lambda X: X.flatten(order="F")
-    unvec = lambda v: v.reshape(d, d, order="F")
-    # term-by-term reference built from H and the jumps, not the drift
     I = np.eye(d)
     H = L.hamiltonian.entries
     ref = -1j * (np.kron(I, H) - np.kron(H.T, I))
@@ -81,17 +79,77 @@ def test_matrix_free_matches_superoperator():
         JdJ = J.conj().T @ J
         ref += t.rate * (np.kron(J.conj(), J) - 0.5 * np.kron(I, JdJ)
                          - 0.5 * np.kron(JdJ.T, I))
-    assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
-    rho = _random_state(rng, d)
-    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    for state in (rho, X):
-        direct = L.apply(state)
-        err = np.abs(unvec(ref @ vec(state)) - direct).max()
-        assert err <= 1e-12 * np.abs(direct).max()
-        # the Heisenberg-picture adjoint is the conjugate transpose
-        adj = L.adjoint_apply(state)
-        err = np.abs(unvec(ref.conj().T @ vec(state)) - adj).max()
-        assert err <= 1e-12 * np.abs(adj).max()
+    return ref
+
+
+def _edge_generators():
+    """Zero hamiltonian without jumps, and zero hamiltonian with jumps."""
+    sp = hb.space(hb.spin(), hb.oscillator(3))
+    d = sp.total_dim
+    H = hb.Operator(sp, np.zeros((d, d), dtype=complex))
+    sm, _, _ = hb.mk_spin_ops(hb.spin())
+    b = hb.mk_destroy(hb.oscillator(3))
+    jumps = [LindbladTerm(hb.embed(sm, 0, sp), 0.8),
+             LindbladTerm(hb.embed(b, 1, sp), 1.3),
+             LindbladTerm(hb.embed(b, 1, sp).dagger(), 0.2)]
+    return Liouvillian(sp, H, []), Liouvillian(sp, H, jumps)
+
+
+def test_matrix_free_matches_superoperator():
+    random, rng = _random_model(11, dim_b=4)
+    free, jumps_only = _edge_generators()
+    assert sparse_superoperator(free).nnz == 0
+    vec = lambda X: X.flatten(order="F")
+    for L in (random, free, jumps_only):
+        d = L.dim
+        unvec = lambda v: v.reshape(d, d, order="F")
+        M = sparse_superoperator(L).toarray()
+        ref = _dense_reference(L)
+        assert np.abs(M - ref).max() <= 1e-12 * np.abs(ref).max()
+        rho = _random_state(rng, d)
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        for state in (rho, X):
+            direct = L.apply(state)
+            err = np.abs(unvec(ref @ vec(state)) - direct).max()
+            assert err <= 1e-12 * np.abs(direct).max()
+            # the Heisenberg-picture adjoint is the conjugate transpose
+            adj = L.adjoint_apply(state)
+            err = np.abs(unvec(ref.conj().T @ vec(state)) - adj).max()
+            assert err <= 1e-12 * np.abs(adj).max()
+    assert not np.any(free.apply(_random_state(rng, free.dim)))
+
+
+# the CI configs of the three models, and a spin-oscillator pair whose
+# heating channels have rate zero (s = 0, nbar = 0)
+_LAYOUT_CONFIGS = {
+    "two_spins": dict(model="two_spins", omega=1.0, gamma_A=1.0,
+                      gamma_B=0.5, s_A=0.8, s_B=0.6, Omega=0.7),
+    "spin_oscillator": dict(model="spin_oscillator", omega_A=1.0,
+                            omega_B=1.0, gamma_A=1.0, gamma_B=1.0, s=0.3,
+                            nbar=0.2, Omega=0.5, n_trunc=15),
+    "optomechanical": dict(model="optomechanical", omega=1.0, nu=1.5,
+                           kappa=1.0, gamma=0.9, nbar=0.2, mbar=0.1,
+                           g=0.2, n_trunc=(10, 12)),
+    "zero_rate": dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0,
+                      gamma_A=1.0, gamma_B=1.0, s=0.0, nbar=0.0,
+                      Omega=0.5, n_trunc=6),
+}
+
+
+@pytest.mark.parametrize("name", ["random", *_LAYOUT_CONFIGS])
+def test_superoperator_layout(name):
+    # the steady solver reads the pattern of S to find its blocks, so a
+    # stored zero could merge two blocks and hide a degenerate null space
+    if name == "random":
+        L, _ = _random_model(4)
+    else:
+        L = build_model(ModelConfig(**_LAYOUT_CONFIGS[name])).L
+        if name == "zero_rate":
+            assert any(t.rate == 0.0 for t in L.terms)
+    S = sparse_superoperator(L)
+    assert S.has_canonical_format
+    assert S.indices.dtype == np.int32
+    assert S.nnz == np.count_nonzero(S.toarray())
 
 
 def test_apply_rejects_wrong_shapes():
@@ -160,8 +218,9 @@ def test_trace_row_indices():
 def test_negative_rate_rejected():
     sp = hb.space(hb.spin())
     sm, _, _ = hb.mk_spin_ops(hb.spin())
-    with pytest.raises(ValueError):
-        LindbladTerm(hb.embed(sm, 0, sp), -0.1)
+    for rate in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="rate"):
+            LindbladTerm(hb.embed(sm, 0, sp), rate)
 
 
 def test_nonhermitian_hamiltonian_rejected():
