@@ -4,9 +4,9 @@ Starting the pair in a superposition of A ground and excited state, the
 off-diagonal (l = +-1) block of the composite density matrix can only
 lose weight: each unit of excitation difference costs at least half the
 cheapest decay rate, no matter how strongly the two systems are coupled.
-The demo evolves the spin-oscillator model at zero and at strong
-coupling and plots the measured sector norm against the exponential
-envelope.
+The demo propagates the l = 1 sector block of the spin-oscillator model
+exactly, at zero and at strong coupling, and plots the measured sector
+norm against the exponential envelope.
 """
 
 import numpy as np

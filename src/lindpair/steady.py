@@ -146,18 +146,21 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     n = block.size
     Mb = M[block][:, block]
     w = max(1.0, np.abs(Mb.data).max() if Mb.nnz else 1.0)
-    # row r, the block's first diagonal entry, gives way to the trace
+    # row r, the block's first diagonal entry, gives way to the trace:
+    # the block's triplets without row r plus the trace row, converted
+    # to CSC once
     t = np.flatnonzero(np.isin(block, trace_row_indices(d)))
     r = t[0]
-    keep = np.ones(n)
-    keep[r] = 0.0
-    A = sp.diags(keep) @ Mb + sp.csr_matrix(
-        (np.full(t.size, w, dtype=complex), (np.full(t.size, r), t)),
-        shape=(n, n))
+    coo = Mb.tocoo()
+    kept = coo.row != r
+    A = sp.csc_matrix(
+        (np.concatenate([coo.data[kept], np.full(t.size, w, dtype=complex)]),
+         (np.concatenate([coo.row[kept], np.full(t.size, r)]),
+          np.concatenate([coo.col[kept], t]))), shape=(n, n))
     b = np.zeros(n, dtype=complex)
     b[r] = w
     try:
-        x = spla.splu(A.tocsc()).solve(b)
+        x = spla.splu(A).solve(b)
     except RuntimeError:
         # exactly singular: a second steady state inside the block
         degenerate = True

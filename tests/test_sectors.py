@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lindpair import hilbert as hb
+from lindpair.evolve import evolve
 from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator)
 from lindpair.models import ModelConfig, build_model
@@ -189,6 +190,120 @@ def test_decay_bound_violation_detected():
     # a negative sector label fails early instead of passing vacuously
     with pytest.raises(ValueError, match="l=-1"):
         check_decay_bound(lying, rho0, np.linspace(0.0, 2.0, 9), ls=[-1])
+
+
+def _small_spin_oscillator():
+    return build_model(ModelConfig(model="spin_oscillator", omega_A=1.0,
+                                   omega_B=1.0, gamma_A=1.0, gamma_B=1.0,
+                                   s=0.5, nbar=0.0, Omega=0.5, n_trunc=3))
+
+
+def _skewed(rho):
+    out = rho.copy()
+    out[0, 1] += 0.01
+    return out
+
+
+@pytest.mark.parametrize("rho_of,t_grid,ls,match", [
+    (_skewed, np.linspace(0.0, 1.0, 5), [1], "hermitian"),
+    (lambda rho: 2.0 * rho, np.linspace(0.0, 1.0, 5), [1], "normalized"),
+    (lambda rho: rho[:, :-1], np.linspace(0.0, 1.0, 5), [1], "matrix"),
+    (lambda rho: rho, [0.0, 0.5, 0.5, 1.0], [1], "strictly increasing"),
+    (lambda rho: rho, np.linspace(0.0, 1.0, 5), [0, 1], "l=0"),
+], ids=["non_hermitian", "unnormalized", "non_square", "repeated_time",
+        "l_zero"])
+def test_decay_bound_rejects_bad_input(rho_of, t_grid, ls, match):
+    bm = _small_spin_oscillator()
+    rho0 = rho_of(_random_state(bm.L.dim, seed=11))
+    with pytest.raises(ValueError, match=match):
+        check_decay_bound(bm, rho0, t_grid, ls=ls)
+
+
+def test_decay_bound_empty_sector_reports_zeros():
+    # a ladder cut at 3 levels holds no l=3 coherence, yet eta_3 is defined
+    bm = build_model(ModelConfig(model="optomechanical", omega=1.0, nu=1.5,
+                                 kappa=1.0, gamma=0.9, nbar=0.2, mbar=0.1,
+                                 g=0.6, n_trunc=(3, 3)))
+    rep = check_decay_bound(bm, _random_state(bm.L.dim, seed=12),
+                            np.linspace(0.0, 1.0, 5), ls=[1, 3])
+    assert np.array_equal(rep.measured[3], np.zeros(5))
+    assert rep.max_ratio[3] == 0.0
+    assert rep.measured[1].min() > 0.0
+
+
+def _random_config(rng, model):
+    u = rng.uniform
+    if model == "two_spins":
+        return dict(model=model, omega=u(0.2, 10.0), gamma_A=u(0.2, 2.0),
+                    gamma_B=u(0.2, 2.0), s_A=u(0.0, 1.0), s_B=u(0.0, 1.0),
+                    Omega=u(0.0, 5.0))
+    if model == "spin_oscillator":
+        return dict(model=model, omega_A=u(0.2, 10.0), omega_B=u(0.2, 10.0),
+                    gamma_A=u(0.2, 2.0), gamma_B=u(0.2, 2.0), s=u(0.0, 1.0),
+                    nbar=u(0.0, 0.5), Omega=u(0.0, 5.0),
+                    n_trunc=int(rng.integers(3, 7)))
+    return dict(model=model, omega=u(0.2, 10.0), nu=u(0.2, 10.0),
+                kappa=u(0.2, 2.0), gamma=u(0.2, 2.0), nbar=u(0.0, 0.3),
+                mbar=u(0.0, 0.3), g=u(0.0, 1.0),
+                n_trunc=(int(rng.integers(3, 6)), int(rng.integers(3, 6))))
+
+
+def test_decay_bound_random_configs_and_states():
+    # the claim holds for every initial state: full-rank random states on
+    # random configs of all three models, every eligible sector
+    rng = np.random.default_rng(2015)
+    for model in ("two_spins", "spin_oscillator", "optomechanical"):
+        for _ in range(10):
+            bm = build_model(_random_config(rng, model))
+            d = bm.L.dim
+            X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho0 = X @ X.conj().T
+            rho0 /= np.trace(rho0).real
+            t_grid = np.linspace(0.0, 4.0 / bm.reference_rate, 41)
+            rep = check_decay_bound(bm, rho0, t_grid)
+            assert rep.max_ratio
+            for l, ratio in rep.max_ratio.items():
+                assert ratio <= 1.0 + 1e-6, (bm.cfg, l)
+
+
+@pytest.mark.parametrize("cfg,ls", [
+    (dict(model="spin_oscillator", omega_A=1.0, omega_B=1.5, gamma_A=1.0,
+          gamma_B=0.7, s=0.3, nbar=0.2, Omega=0.8, n_trunc=6), [1]),
+    (dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0, gamma=0.9,
+          nbar=0.2, mbar=0.1, g=0.6, n_trunc=(4, 4)), [1, 2]),
+], ids=["spin_oscillator", "optomechanical"])
+def test_decay_bound_matches_full_evolution(cfg, ls):
+    # the exact sector-block propagation against full-space RK4 with
+    # sector masks, on a non-uniform grid (a spin A has sector 1 only)
+    bm = build_model(cfg)
+    d = bm.L.dim
+    rho0 = _random_state(d, seed=13)
+    t_grid = 3.0 * np.linspace(0.0, 1.0, 9) ** 2
+    rep = check_decay_bound(bm, rho0, t_grid, ls=ls)
+    masks = {l: sector_pair_mask(bm.es, d, l) for l in ls}
+    rec = evolve(bm.L, rho0, t_grid, sector_masks=masks, tol=1e-10)
+    for l in ls:
+        ref = rec.sector_pair_norms[l]
+        assert ref.min() > 0.0
+        assert np.abs(rep.measured[l] - ref).max() <= 1e-8 * ref.max()
+
+
+def test_decay_bound_rejects_non_commuting_generator():
+    # coupling through A's lowering operator moves weight between
+    # sectors, so sector 1 is no closed block of the generator
+    sp_full = hb.space(hb.spin(), hb.oscillator(4))
+    sm, splus, sz = hb.mk_spin_ops(hb.spin())
+    b = hb.embed(hb.mk_destroy(hb.oscillator(4)), 1, sp_full)
+    lower = hb.embed(sm, 0, sp_full)
+    H = hb.embed(sz, 0, sp_full) + b.dagger() @ b \
+        + 0.5 * ((lower + lower.dagger()) @ (b + b.dagger()))
+    L = Liouvillian(sp_full, H, [LindbladTerm(lower, 1.0),
+                                 LindbladTerm(b, 1.0)])
+    model = SimpleNamespace(L=L, es=build_excitation_structure(
+        hb.space(hb.spin())), a_unit_costs=[(0.5, 1)])
+    rho0 = _random_state(L.dim, seed=14)
+    with pytest.raises(RuntimeError, match="sector 1 is not closed"):
+        check_decay_bound(model, rho0, np.linspace(0.0, 1.0, 5), ls=[1])
 
 
 def test_trotter_commuting_split():
