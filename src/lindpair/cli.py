@@ -23,8 +23,7 @@ from .evolve import certify_truncation, evolve, trace_norm
 from .liouvillian import sparse_superoperator
 from .models import BuiltModel, ModelConfig, build_model, model_steady, parse_config
 from .moments import steady_spin_osc_excitation
-from .sectors import (check_decay_bound, excitation_commutator,
-                      project_sector, sector_pair_mask)
+from .sectors import excitation_commutator, project_sector, sector_pair_mask
 from .spectral import spin_eigensystem
 
 
@@ -43,12 +42,13 @@ def _write_csv(path: Path, header: list, rows) -> None:
 
 
 def _write_matrix_pair(out: Path, stem: str, mat: np.ndarray) -> None:
+    # one % per row writes the bytes csv.writer would: %.16e values,
+    # comma-separated, CRLF row endings
+    row_fmt = ",".join(["%.16e"] * mat.shape[1]) + "\r\n"
     for part, data in (("re", mat.real), ("im", mat.imag)):
         path = out / f"{stem}_{part}.csv"
         with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            for row in data:
-                w.writerow([f"{v:.16e}" for v in row])
+            fh.writelines(row_fmt % tuple(r.tolist()) for r in data)
         print(f"wrote {path}")
 
 

@@ -215,8 +215,9 @@ def embed(op: Operator, factor_index: int, target: SpaceSpec) -> Operator:
 
     ``op`` must act on the one-factor space matching
     ``target.factors[factor_index]``; the result is
-    ``1 x ... x op x ... x 1`` in row-major Kronecker order.  Dense
-    embedding is refused above ``MAX_DENSE_DIM``.
+    ``1 x ... x op x ... x 1`` in row-major Kronecker order; a
+    one-dimensional identity is left out rather than multiplied in.
+    Dense embedding is refused above ``MAX_DENSE_DIM``.
     """
     if not (0 <= factor_index < len(target.factors)):
         raise ValueError(f"factor index {factor_index} out of range")
@@ -232,7 +233,11 @@ def embed(op: Operator, factor_index: int, target: SpaceSpec) -> Operator:
     right = 1
     for f in target.factors[factor_index + 1:]:
         right *= f.dim
-    mat = np.kron(np.kron(np.eye(left), op.entries), np.eye(right))
+    mat = op.entries
+    if left > 1:
+        mat = np.kron(np.eye(left), mat)
+    if right > 1:
+        mat = np.kron(mat, np.eye(right))
     return Operator(target, mat)
 
 

@@ -191,24 +191,30 @@ def build_model(cfg) -> BuiltModel:
     factors = [hb.spin() if kind == SPIN else hb.oscillator(next(truncs))
                for kind, *_ in (a, b)]
     sp = hb.space(*factors)
-    lower, exc, terms, fixed = [], [], [], []
+    # per side: the factor-level lowering and excitation operators and
+    # the embedded excitation operator
+    lower_f, exc_f, exc, terms, fixed = [], [], [], [], []
     for i, ((kind, _, rate, occ), f) in enumerate(zip((a, b), factors)):
         r, x = getattr(cfg, rate), getattr(cfg, occ)
         if kind == SPIN:
-            sm, _, sz = hb.mk_spin_ops(f)
-            low, E = hb.embed(sm, i, sp), hb.embed(sz, i, sp)
+            low_f, _, E_f = hb.mk_spin_ops(f)
             down, rho = 1.0 - x, spin_steady(x)
         else:
-            low = hb.embed(hb.mk_destroy(f), i, sp)
-            E = low.dagger() @ low
+            low_f, E_f = hb.mk_destroy(f), hb.mk_number(f)
             down, rho = x + 1.0, thermal_state(x, f.dim)
-        lower.append(low)
-        exc.append(E)
+        low = hb.embed(low_f, i, sp)
+        lower_f.append(low_f.entries)
+        exc_f.append(E_f.entries)
+        exc.append(hb.embed(E_f, i, sp).entries)
         terms += [LindbladTerm(low, r * down),
                   LindbladTerm(low.dagger(), r * x)]
         fixed.append(rho)
-    H = getattr(cfg, a[1]) * exc[0] + getattr(cfg, b[1]) * exc[1] \
-        + getattr(cfg, coupling) * (exc[0] @ (lower[1] + lower[1].dagger()))
+    # E_A (l_B + l_B^dag) is a product of operators on different
+    # factors, so it is the kron of the factor matrices
+    coupling_op = np.kron(exc_f[0], lower_f[1] + lower_f[1].conj().T)
+    H = hb.Operator(sp, getattr(cfg, a[1]) * exc[0]
+                    + getattr(cfg, b[1]) * exc[1]
+                    + getattr(cfg, coupling) * coupling_op)
     L = Liouvillian(sp, H, terms)
     es = build_excitation_structure(hb.space(factors[0]))
     rate_A = getattr(cfg, a[2])

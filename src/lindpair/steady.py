@@ -5,9 +5,10 @@ The composite steady state comes from one square sparse direct solve.
 The generator commutes with ``[V_A x 1, .]``, so its superoperator is
 block diagonal over excitation-difference sectors and the fixed point
 lies in the block that holds the diagonal (sector 0 for every coupled
-model, smaller when the pair decouples).  One row of that block is
-replaced by the trace condition and the system is factorised with a
-sparse LU.
+model, smaller when the pair decouples).  The block is a connected
+component of the superoperator's pattern and is read straight off its
+CSR arrays; one of its rows is replaced by the trace condition and the
+system, built as one CSC matrix, is factorised with a sparse LU.
 The recurrence oracle iterates the Fock-basis relations of the damped
 oscillator steady state: the diagonal reproduces a geometric profile,
 while every off-diagonal forces a coefficient sequence whose partial
@@ -92,26 +93,29 @@ def _postprocess(L: Liouvillian, raw: np.ndarray,
     if abs(tr) < 1e-12:
         raise RuntimeError("steady-state candidate has vanishing trace")
     rho = rho / tr
-    w, V = np.linalg.eigh(rho)
-    if w.min() < -1e-8:
-        raise RuntimeError(
-            f"steady state has eigenvalue {w.min():.3e} below -1e-8; "
-            "likely truncation failure")
-    neg = w[w < 0]
-    clipped = float(-neg.sum()) if neg.size else 0.0
-    if clipped > 0:
-        w = np.clip(w, 0.0, None)
-        rho = (V * w) @ V.conj().T
-        rho = rho / np.trace(rho).real
+    clipped = 0.0
+    # eigenvectors are needed only to clip, which is rare
+    if np.linalg.eigvalsh(rho).min() < 0:
+        w, V = np.linalg.eigh(rho)
+        if w.min() < -1e-8:
+            raise RuntimeError(
+                f"steady state has eigenvalue {w.min():.3e} below -1e-8; "
+                "likely truncation failure")
+        neg = w[w < 0]
+        clipped = float(-neg.sum()) if neg.size else 0.0
+        if clipped > 0:
+            w = np.clip(w, 0.0, None)
+            rho = (V * w) @ V.conj().T
+            rho = rho / np.trace(rho).real
     residual = trace_norm(L.apply(rho))
     return SteadyReport(Operator(L.space, rho), residual, block_dim,
                         clipped_weight=clipped)
 
 
-def _trace_block(M: sp.csr_matrix, d: int) -> tuple[np.ndarray, bool]:
+def _trace_block(S: sp.csr_matrix, d: int) -> tuple[np.ndarray, bool]:
     """Vec indices of the block that holds the trace, and a degeneracy flag.
 
-    The block is the weakly connected component of the pattern of ``M``
+    The block is the weakly connected component of the pattern of ``S``
     that holds the first diagonal index.  Each component holding
     diagonal entries conserves its own partial trace, so more than one
     such component means a steady-state space of dimension above one.
@@ -120,10 +124,47 @@ def _trace_block(M: sp.csr_matrix, d: int) -> tuple[np.ndarray, bool]:
     # runs without a steady solve do not need
     from scipy.sparse.csgraph import connected_components
 
+    # the components of S's pattern, as ones over its index arrays:
     # csgraph casts complex input to real, which can cancel entries
-    _, labels = connected_components(abs(M), connection="weak")
+    pattern = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr),
+                            shape=S.shape)
+    _, labels = connected_components(pattern, connection="weak")
     held = labels[trace_row_indices(d)]
     return np.flatnonzero(labels == held[0]), bool(np.any(held != held[0]))
+
+
+def _block_triplets(S: sp.csr_matrix, block: np.ndarray):
+    """The block of ``S`` as row-major triplets in block coordinates.
+
+    A weakly connected component is closed under the pattern of ``S``:
+    the rows of the block hold no column outside it.  So the block is
+    read straight off the CSR arrays, its rows gathered by index
+    arithmetic and its columns renumbered, with no sliced copy of
+    ``S``.  Also returns the map from vec index to block position (-1
+    outside the block).
+    """
+    n = block.size
+    first = S.indptr[block]
+    count = S.indptr[block + 1] - first
+    row = np.repeat(np.arange(n, dtype=np.int32), count)
+    at = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count),
+                                         count)
+    local = np.full(S.shape[0], -1, dtype=np.int32)
+    local[block] = np.arange(n, dtype=np.int32)
+    return row, local[S.indices[at]], S.data[at], local
+
+
+def _csc(row, col, val, n: int) -> sp.csc_matrix:
+    """CSC matrix of row-major triplets without duplicates.
+
+    A stable sort by column keeps each column's rows ascending, so the
+    arrays are canonical and equal to those of the COO -> CSC
+    conversion, built in one constructor call.
+    """
+    order = np.argsort(col, kind="stable")
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    return sp.csc_matrix((val[order], row[order], indptr), shape=(n, n))
 
 
 def solve_steady(L: Liouvillian) -> SteadyReport:
@@ -131,41 +172,47 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
 
     The generator commutes with ``[V_A x 1, .]``, so its superoperator
     is block diagonal and the fixed point lives in the block that holds
-    the diagonal.  That block is solved square and direct: one of its
-    rows (a diagonal index) is replaced by the trace functional and the
-    system goes through a sparse LU.  A steady-state space of dimension
-    above one is flagged, with a RuntimeWarning, when the diagonal
-    spreads over several blocks or the factorisation is exactly
-    singular; one solution is still returned.  The state is hermitized,
-    and eigenvalues in [-1e-8, 0) are clipped to zero with
-    renormalization; anything more negative aborts.
+    the diagonal.  That block is found as a connected component of the
+    pattern of ``S`` and read straight off its CSR arrays.  It is solved
+    square and direct: the row of its first diagonal index gives way to
+    the trace functional, and the system, built as one CSC matrix, goes
+    through a sparse LU.  A steady-state space of dimension above one is
+    flagged, with a RuntimeWarning, when the diagonal spreads over
+    several blocks or the factorisation is exactly singular; one
+    solution is still returned.  The state is hermitized, and
+    eigenvalues in [-1e-8, 0) are clipped to zero with renormalization;
+    anything more negative aborts.
     """
     d = L.dim
-    M = sparse_superoperator(L)
-    block, degenerate = _trace_block(M, d)
+    S = sparse_superoperator(L)
+    block, degenerate = _trace_block(S, d)
     n = block.size
-    Mb = M[block][:, block]
-    w = max(1.0, np.abs(Mb.data).max() if Mb.nnz else 1.0)
-    # row r, the block's first diagonal entry, gives way to the trace:
-    # the block's triplets without row r plus the trace row, converted
-    # to CSC once
-    t = np.flatnonzero(np.isin(block, trace_row_indices(d)))
+    row, col, val, local = _block_triplets(S, block)
+    w = max(1.0, np.abs(val).max() if val.size else 1.0)
+    # block positions of the diagonal; row r, the first of them, gives
+    # way to the trace row, spliced in where row r stood
+    t = local[trace_row_indices(d)]
+    t = t[t >= 0]
     r = t[0]
-    coo = Mb.tocoo()
-    kept = coo.row != r
-    A = sp.csc_matrix(
-        (np.concatenate([coo.data[kept], np.full(t.size, w, dtype=complex)]),
-         (np.concatenate([coo.row[kept], np.full(t.size, r)]),
-          np.concatenate([coo.col[kept], t]))), shape=(n, n))
+    lo, hi = np.searchsorted(row, (r, r + 1))
+    trace_val = np.full(t.size, w, dtype=complex)
+    A = _csc(np.concatenate([row[:lo], np.full(t.size, r, np.int32),
+                             row[hi:]]),
+             np.concatenate([col[:lo], t, col[hi:]]),
+             np.concatenate([val[:lo], trace_val, val[hi:]]), n)
     b = np.zeros(n, dtype=complex)
     b[r] = w
     try:
         x = spla.splu(A).solve(b)
     except RuntimeError:
-        # exactly singular: a second steady state inside the block
+        # exactly singular: a second steady state inside the block;
+        # least squares on the whole block with the trace row appended
         degenerate = True
-        x = spla.lsqr(sp.vstack([Mb, A[r]]).tocsr(),
-                      np.append(np.zeros(n, dtype=complex), w),
+        stacked = sp.csr_matrix(
+            (np.concatenate([val, trace_val]),
+             (np.concatenate([row, np.full(t.size, n)]),
+              np.concatenate([col, t]))), shape=(n + 1, n))
+        x = spla.lsqr(stacked, np.append(np.zeros(n, dtype=complex), w),
                       atol=1e-12, btol=1e-12)[0]
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x

@@ -1,12 +1,13 @@
 """End-to-end command-line runs on small models."""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from lindpair.cli import main
+from lindpair.cli import _write_matrix_pair, main
 
 TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5,
                  s_A=0.8, s_B=0.6, Omega=0.7)
@@ -111,3 +112,21 @@ def test_cli_argument_errors(cfg_path):
     bad = dict(TWO_SPINS, gamma_A=-1.0)
     with pytest.raises(ValueError):
         main(["steady", "--config", cfg_path(bad), "--out", "unused"])
+
+
+def test_matrix_csv_bytes_match_csv_writer(tmp_path):
+    # signed zero, the smallest subnormal, a huge negative and a plain
+    # value, in both parts and in a non-square matrix
+    vals = np.array([[-0.0, 5e-324, -1.5e200], [1.0, -1.5e200, 5e-324]])
+    mat = np.empty(vals.shape, dtype=complex)
+    mat.real, mat.imag = vals, vals[::-1, ::-1]
+    _write_matrix_pair(tmp_path, "m", mat)
+    for part, data in (("re", mat.real), ("im", mat.imag)):
+        expect = io.StringIO(newline="")
+        csv.writer(expect).writerows([[f"{v:.16e}" for v in row]
+                                      for row in data])
+        got = (tmp_path / f"m_{part}.csv").read_bytes()
+        assert got == expect.getvalue().encode()
+        assert got.count(b"\r\n") == 2 and got.endswith(b"\r\n")
+        assert got.startswith(b"-0.0000000000000000e+00,"
+                              if part == "re" else b"4.9406564584124654e-324,")

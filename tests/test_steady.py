@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,8 @@ from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair.sectors import sector_vec_indices
-from lindpair.steady import (_trace_block, damping_recurrence,
+from lindpair.steady import (_block_triplets, _csc, _postprocess,
+                             _trace_block, damping_recurrence,
                              off_diagonal_witness, pure_damping_recurrence,
                              solve_steady, spin_steady, thermal_state)
 
@@ -135,6 +137,51 @@ def test_singular_block_flagged():
         rep = solve_steady(L)
     assert rep.degenerate
     assert rep.residual <= 1e-10
+
+
+def test_block_read_off_csr_matches_slicing():
+    bm = _small_model(6)
+    S = sparse_superoperator(bm.L)
+    block, _ = _trace_block(S, bm.L.dim)
+    row, col, val, local = _block_triplets(S, block)
+    n = block.size
+    assert np.array_equal(local[block], np.arange(n))
+    assert np.count_nonzero(local >= 0) == n
+    sliced = S[block][:, block].tocsr()
+    read = sp.csr_matrix((val, (row, col)), shape=(n, n))
+    assert (read != sliced).nnz == 0 and read.nnz == sliced.nnz
+    # the direct CSC build is the canonical COO -> CSC conversion
+    A, B = _csc(row, col, val, n), sp.csc_matrix((val, (row, col)),
+                                                shape=(n, n))
+    for x, y in ((A.indptr, B.indptr), (A.indices, B.indices),
+                 (A.data, B.data)):
+        assert np.array_equal(x, y)
+
+
+def _with_spectrum(w):
+    # a state with eigenvalues w in a random basis, on a d=4 model
+    bm = build_model(ModelConfig(model="two_spins", omega=1.0, gamma_A=1.0,
+                                 gamma_B=0.7, s_A=0.8, s_B=0.6, Omega=0.5))
+    rng = np.random.default_rng(5)
+    U = scipy.linalg.qr(rng.normal(size=(4, 4))
+                        + 1j * rng.normal(size=(4, 4)))[0]
+    return bm.L, (U * np.asarray(w)) @ U.conj().T
+
+
+def test_postprocess_clips_small_negative_eigenvalue():
+    L, raw = _with_spectrum([0.3, 0.3, 0.4 + 1e-12, -1e-12])
+    rep = _postprocess(L, raw, 16)
+    assert rep.clipped_weight == pytest.approx(1e-12, rel=1e-3)
+    rho = rep.rho_st.entries
+    assert np.abs(rho - rho.conj().T).max() <= 1e-15
+    assert np.linalg.eigvalsh(rho).min() >= -1e-15
+    assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_postprocess_aborts_on_large_negative_eigenvalue():
+    L, raw = _with_spectrum([0.3, 0.3, 0.4 + 1e-6, -1e-6])
+    with pytest.raises(RuntimeError, match="likely truncation failure"):
+        _postprocess(L, raw, 16)
 
 
 _rate = st.floats(0.2, 2.0)
