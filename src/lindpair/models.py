@@ -211,7 +211,7 @@ def build_model(cfg) -> BuiltModel:
         fixed.append(rho)
     # E_A (l_B + l_B^dag) is a product of operators on different
     # factors, so it is the kron of the factor matrices
-    coupling_op = np.kron(exc_f[0], lower_f[1] + lower_f[1].conj().T)
+    coupling_op = hb.kron(exc_f[0], lower_f[1] + lower_f[1].conj().T)
     H = hb.Operator(sp, getattr(cfg, a[1]) * exc[0]
                     + getattr(cfg, b[1]) * exc[1]
                     + getattr(cfg, coupling) * coupling_op)

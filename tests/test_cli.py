@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from lindpair.cli import _write_matrix_pair, main
+from lindpair.cli import _parser, _write_matrix_pair, main
 
 TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5,
                  s_A=0.8, s_B=0.6, Omega=0.7)
@@ -130,3 +130,68 @@ def test_matrix_csv_bytes_match_csv_writer(tmp_path):
         assert got.count(b"\r\n") == 2 and got.endswith(b"\r\n")
         assert got.startswith(b"-0.0000000000000000e+00,"
                               if part == "re" else b"4.9406564584124654e-324,")
+
+
+def test_matrix_csv_keeps_signed_zeros_and_repeats(tmp_path):
+    # values repeat across rows and columns, and 0.0 and -0.0 share a
+    # part: each is written as csv.writer writes it
+    vals = np.array([[0.0, -0.0, 0.25, 0.0], [0.25, 0.0, -0.0, np.inf],
+                     [-0.0, 1e-300, 0.25, -0.0]])
+    mat = np.empty(vals.shape, dtype=complex)
+    mat.real, mat.imag = vals, vals[::-1]
+    _write_matrix_pair(tmp_path, "z", mat)
+    for part, data in (("re", mat.real), ("im", mat.imag)):
+        expect = io.StringIO(newline="")
+        csv.writer(expect).writerows([[f"{v:.16e}" for v in row]
+                                      for row in data])
+        assert (tmp_path / f"z_{part}.csv").read_bytes() == \
+            expect.getvalue().encode()
+
+
+def test_parser_reused_within_one_process(cfg_path, tmp_path):
+    # one parser serves every call; each call behaves as if it were the
+    # first: no flag, default or error carries over
+    assert _parser() is _parser()
+    cfg = cfg_path(SPIN_OSC)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["steady", "--config", cfg, "--out", str(first),
+                 "--trunc-check"]) == 0
+    assert main(["steady", "--config", cfg, "--out", str(second)]) == 0
+    summary = [json.loads((out / "steady_summary.json").read_text())
+               for out in (first, second)]
+    assert "truncation_shift" in summary[0]
+    assert "truncation_shift" not in summary[1]
+    assert summary[0]["residual"] == summary[1]["residual"]
+    for name in ("rho_st_re.csv", "rho_A_im.csv", "rho_B_re.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--out", str(tmp_path / "bad")])
+    assert exc.value.code != 0
+    out = tmp_path / "verify"
+    assert main(["verify", "--config", cfg_path(TWO_SPINS),
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "verify.json").read_text())["all_pass"] is True
+
+
+@pytest.mark.parametrize("argv", [[], ["run"], ["steady"], ["spectrum"],
+                                  ["verify"], ["figure"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    assert "usage: lindpair" in capsys.readouterr().out
+
+
+def test_commands_looked_up_at_call_time(monkeypatch, cfg_path, tmp_path):
+    # the cached parser must not bind the command functions: a wrapper
+    # installed on the module after the first call still runs
+    import lindpair.cli as cli
+
+    main(["spectrum", "--config", cfg_path(TWO_SPINS),
+          "--out", str(tmp_path / "warm")])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum",
+                        lambda args: seen.append(args.out) or 0)
+    assert main(["spectrum", "--config", cfg_path(TWO_SPINS),
+                 "--out", "wrapped"]) == 0
+    assert seen == ["wrapped"]

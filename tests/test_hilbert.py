@@ -77,6 +77,31 @@ def test_embed_matches_kron():
     assert np.allclose(left @ right, right @ left)
 
 
+def test_kron_equals_numpy_kron_bitwise():
+    rng = np.random.default_rng(5)
+
+    def real(m, n):
+        x = rng.normal(size=(m, n))
+        x[rng.random((m, n)) < 0.3] = 0.0
+        x[rng.random((m, n)) < 0.2] = -0.0
+        return x
+
+    def cplx(m, n):
+        return real(m, n) + 1j * real(m, n)
+
+    # real and complex, square and rectangular, 1x1 and 1xn, and the
+    # real identity against a complex factor that embed multiplies
+    for a, b in [(real(3, 3), real(2, 2)), (cplx(2, 3), cplx(4, 1)),
+                 (real(2, 2), cplx(3, 3)), (np.eye(3), cplx(2, 2)),
+                 (cplx(3, 2), np.eye(2)), (real(1, 1), cplx(3, 2)),
+                 (cplx(1, 1), cplx(1, 1)), (cplx(1, 4), real(2, 3)),
+                 (real(1, 3), cplx(1, 2))]:
+        want = np.kron(a, b)
+        got = hb.kron(a, b)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 def test_embed_factor_mismatch():
     sp = hb.space(hb.spin(), hb.oscillator(4))
     a = hb.mk_destroy(hb.oscillator(3))

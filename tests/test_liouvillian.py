@@ -95,12 +95,31 @@ def _edge_generators():
     return Liouvillian(sp, H, []), Liouvillian(sp, H, jumps)
 
 
+def _many_nonzero_jumps(rng):
+    """Jumps with several nonzeros per row and per column, and a zero rate.
+
+    A dense random complex jump, ``b + b^dag`` and a spin jump at rate
+    zero: the drift's ``J^dag J`` then sums several products per entry,
+    which ladder operators never do."""
+    sp = hb.space(hb.spin(), hb.oscillator(3))
+    d = sp.total_dim
+    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    H = hb.Operator(sp, 0.5 * (X + X.conj().T))
+    dense = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    b = hb.mk_destroy(hb.oscillator(3))
+    sm, _, _ = hb.mk_spin_ops(hb.spin())
+    terms = [LindbladTerm(hb.Operator(sp, dense), 0.7),
+             LindbladTerm(hb.embed(b + b.dagger(), 1, sp), 0.9),
+             LindbladTerm(hb.embed(sm, 0, sp), 0.0)]
+    return Liouvillian(sp, H, terms)
+
+
 def test_matrix_free_matches_superoperator():
     random, rng = _random_model(11, dim_b=4)
     free, jumps_only = _edge_generators()
     assert sparse_superoperator(free).nnz == 0
     vec = lambda X: X.flatten(order="F")
-    for L in (random, free, jumps_only):
+    for L in (random, free, jumps_only, _many_nonzero_jumps(rng)):
         d = L.dim
         unvec = lambda v: v.reshape(d, d, order="F")
         M = sparse_superoperator(L).toarray()

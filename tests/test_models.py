@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lindpair.evolve import trace_norm
-from lindpair.hilbert import partial_trace
+from lindpair.hilbert import mk_destroy, mk_number, mk_spin_ops, partial_trace
 from lindpair.liouvillian import sparse_superoperator
 from lindpair.models import (BuiltModel, ModelConfig, build_model,
                              model_steady, parse_config)
@@ -196,6 +196,41 @@ def test_build_matches_reference_generator(model):
     # the A pair comes first and forms a_terms
     for t, (J, r) in zip(bm.a_terms, jumps[:2], strict=True):
         assert np.array_equal(t.jump_op.entries, J) and t.rate == r
+
+
+# the CI configs, and per model the A frequency, B frequency and
+# coupling fields
+_CI_CONFIGS = [
+    (dict(TWO_SPINS), ("omega", "omega", "Omega")),
+    (dict(SPIN_OSC, n_trunc=15), ("omega_A", "omega_B", "Omega")),
+    (dict(OPTOMECH, n_trunc=[10, 12]), ("omega", "nu", "g")),
+]
+
+
+@pytest.mark.parametrize("c, fields", _CI_CONFIGS,
+                         ids=[c["model"] for c, _ in _CI_CONFIGS])
+def test_build_entries_equal_numpy_kron_bitwise(c, fields):
+    # build_model's products, each Kronecker product taken by np.kron
+    bm = build_model(c)
+    dA, dB = bm.L.space.dims
+    low, exc = [], []
+    for f in bm.L.space.factors:
+        if f.kind == "spin":
+            sm, _, sz = mk_spin_ops(f)
+            low.append(sm.entries)
+            exc.append(sz.entries)
+        else:
+            low.append(mk_destroy(f).entries)
+            exc.append(mk_number(f).entries)
+    embed = [lambda m: np.kron(m, np.eye(dB)),
+             lambda m: np.kron(np.eye(dA), m)]
+    H = (c[fields[0]] * embed[0](exc[0]) + c[fields[1]] * embed[1](exc[1])
+         + c[fields[2]] * np.kron(exc[0], low[1] + low[1].conj().T))
+    assert bm.L.hamiltonian.entries.tobytes() == H.tobytes()
+    jumps = [m for e, l in zip(embed, low) for m in (e(l), e(l).conj().T)]
+    for t, J in zip(bm.L.terms, jumps, strict=True):
+        assert t.jump_op.entries.tobytes() == \
+            np.ascontiguousarray(J).tobytes()
 
 
 def test_interaction_preserves_a_marginal():
