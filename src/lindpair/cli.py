@@ -123,6 +123,7 @@ def cmd_steady(args) -> int:
     summary = {
         "residual": report.residual,
         "block_dim": report.block_dim,
+        "lu_fill": report.lu_fill,
         "degenerate": report.degenerate,
         "clipped_weight": report.clipped_weight,
         "invariance_A": trace_norm(redA - bm.analytic_A_steady),

@@ -6,9 +6,17 @@ The generator commutes with ``[V_A x 1, .]``, so its superoperator is
 block diagonal over excitation-difference sectors and the fixed point
 lies in the block that holds the diagonal (sector 0 for every coupled
 model, smaller when the pair decouples).  The block is a connected
-component of the superoperator's pattern and is read straight off its
-CSR arrays; one of its rows is replaced by the trace condition and the
-system, built as one CSC matrix, is factorised with a sparse LU.
+component of the superoperator's pattern, found by a breadth-first
+search from the first diagonal index and read straight off its CSR
+arrays; one of its rows is replaced by the trace condition and the
+system, built as one CSC matrix, is factorised with a sparse LU.  The
+block's unknowns are matrix elements (i, j) on the lattice of the
+factor levels of i and j, so they are numbered by nested dissection
+of that lattice (George, SIAM J. Numer. Anal. 10, 345 (1973)), which
+fills the factors far less than SuperLU's default column order;
+SuperLU keeps that order in its symmetric mode and leaves the
+diagonal only for a pivot below 0.1 of its column (threshold
+pivoting), so the order sets the cost and never the answer.
 The recurrence oracle iterates the Fock-basis relations of the damped
 oscillator steady state: the diagonal reproduces a geometric profile,
 while every off-diagonal forces a coefficient sequence whose partial
@@ -45,6 +53,8 @@ __all__ = [
 
 # Exact-arithmetic coefficient verification cap.
 COEFF_EXACT_CAP = 25
+# Largest box of the steady block left uncut by the dissection order.
+_LEAF = 16
 
 
 @dataclass
@@ -55,7 +65,9 @@ class SteadyReport:
     the number of unknowns solved (the size of the block that holds the
     trace); ``clipped_weight`` is the total negative eigenvalue weight
     removed by the positivity repair; ``degenerate`` flags a null space
-    of dimension above one (reported, not resolved).
+    of dimension above one (reported, not resolved); ``lu_fill`` is the
+    number of entries SuperLU stores for the block's L and U factors
+    (0 when the exactly singular block falls back to ``lsqr``).
     """
 
     rho_st: Operator
@@ -63,6 +75,7 @@ class SteadyReport:
     block_dim: int
     clipped_weight: float = 0.0
     degenerate: bool = False
+    lu_fill: int = 0
 
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
@@ -116,21 +129,73 @@ def _trace_block(S: sp.csr_matrix, d: int) -> tuple[np.ndarray, bool]:
     """Vec indices of the block that holds the trace, and a degeneracy flag.
 
     The block is the weakly connected component of the pattern of ``S``
-    that holds the first diagonal index.  Each component holding
-    diagonal entries conserves its own partial trace, so more than one
-    such component means a steady-state space of dimension above one.
+    that holds the first diagonal index, in breadth-first order from
+    that index, so it comes first.  Each component holding diagonal
+    entries conserves its own partial trace, so a diagonal index the
+    search does not reach means a steady-state space of dimension
+    above one.
     """
     # imported here: csgraph adds about 1 MB of resident memory that
     # runs without a steady solve do not need
-    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.csgraph import breadth_first_order
 
-    # the components of S's pattern, as ones over its index arrays:
-    # csgraph casts complex input to real, which can cancel entries
+    # the search runs on ones over S's index arrays: csgraph casts
+    # complex input to real, which can cancel entries
     pattern = sp.csr_matrix((np.ones(S.nnz), S.indices, S.indptr),
                             shape=S.shape)
-    _, labels = connected_components(pattern, connection="weak")
-    held = labels[trace_row_indices(d)]
-    return np.flatnonzero(labels == held[0]), bool(np.any(held != held[0]))
+    diag = trace_row_indices(d)
+    block = breadth_first_order(pattern, diag[0], directed=False,
+                                return_predecessors=False)
+    reached = np.zeros(d * d, dtype=bool)
+    reached[block] = True
+    return block, not reached[diag].all()
+
+
+def _dissection_order(block: np.ndarray, dims: tuple) -> np.ndarray:
+    """``block`` reordered for a sparse LU with little fill.
+
+    The unknowns are matrix elements (i, j), placed on the lattice of
+    the factor levels of i and of j; ladder and number operators move
+    each level by at most one, so a plane of constant level separates
+    the two sides of a box.  Nested dissection on that lattice: each
+    box with more than ``_LEAF`` unknowns is cut at the middle of its
+    longest side, and its two halves come before the cutting plane.
+    The boxes of one level are cut together, with no recursion.  The
+    first element, the first diagonal index, goes last: its row
+    becomes the trace row, and eliminating it early would join every
+    diagonal unknown into one dense clique.  The order only sets the
+    fill; any permutation gives the same solution.
+    """
+    rest = block[1:]
+    if block.size <= _LEAF:
+        return np.concatenate([rest, block[:1]])
+    # vec index j d + i: the levels of j, then those of i
+    C = np.column_stack(np.unravel_index(rest, dims + dims))
+    perm = np.arange(rest.size)
+    # the boxes still to cut, as ranges of positions in perm
+    start, size = np.array([0]), np.array([rest.size])
+    while start.size:
+        box = np.repeat(np.arange(start.size), size)
+        first = np.cumsum(size) - size
+        pos = np.arange(box.size) + np.repeat(start - first, size)
+        P = perm[pos]
+        Cp = C[P]
+        lo = np.minimum.reduceat(Cp, first)
+        side = np.maximum.reduceat(Cp, first) - lo
+        k = np.arange(start.size)
+        axis = np.argmax(side, axis=1)
+        mid = lo[k, axis] + side[k, axis] // 2
+        off = Cp[np.arange(box.size), axis[box]] - mid[box]
+        # 0: below the plane, 1: above it, 2: on it
+        key = 3 * box + (off > 0) + 2 * (off == 0)
+        perm[pos] = P[np.argsort(key, kind="stable")]
+        count = np.bincount(key, minlength=3 * start.size).reshape(-1, 3)
+        # each half's box is smaller than its parent's, so this ends
+        again = count > _LEAF
+        again[:, 2] = False
+        start = (start[:, None] + np.cumsum(count, axis=1) - count)[again]
+        size = count[again]
+    return np.concatenate([rest[perm], block[:1]])
 
 
 def _block_triplets(S: sp.csr_matrix, block: np.ndarray):
@@ -173,12 +238,16 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     The generator commutes with ``[V_A x 1, .]``, so its superoperator
     is block diagonal and the fixed point lives in the block that holds
     the diagonal.  That block is found as a connected component of the
-    pattern of ``S`` and read straight off its CSR arrays.  It is solved
-    square and direct: the row of its first diagonal index gives way to
-    the trace functional, and the system, built as one CSC matrix, goes
-    through a sparse LU.  A steady-state space of dimension above one is
-    flagged, with a RuntimeWarning, when the diagonal spreads over
-    several blocks or the factorisation is exactly singular; one
+    pattern of ``S``, numbered in nested-dissection order on its level
+    lattice (``_dissection_order``) and read straight off the CSR
+    arrays of ``S``.  It is solved square and direct: the row of its
+    first diagonal index, numbered last, gives way to the trace
+    functional, and the system, built as one CSC matrix, goes through
+    ``splu`` in that order, in symmetric mode with threshold pivoting
+    (a diagonal pivot is kept unless below 0.1 of its column).  A
+    steady-state space of dimension above one is flagged, with a
+    RuntimeWarning, when the search from the first diagonal index
+    misses another, or the factorisation is exactly singular; one
     solution is still returned.  The state is hermitized, and
     eigenvalues in [-1e-8, 0) are clipped to zero with renormalization;
     anything more negative aborts.
@@ -186,24 +255,27 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     d = L.dim
     S = sparse_superoperator(L)
     block, degenerate = _trace_block(S, d)
+    block = _dissection_order(block, L.space.dims)
     n = block.size
     row, col, val, local = _block_triplets(S, block)
     w = max(1.0, np.abs(val).max() if val.size else 1.0)
-    # block positions of the diagonal; row r, the first of them, gives
-    # way to the trace row, spliced in where row r stood
+    # block positions of the diagonal; the last row, the first
+    # diagonal's, gives way to the trace row
     t = local[trace_row_indices(d)]
     t = t[t >= 0]
-    r = t[0]
-    lo, hi = np.searchsorted(row, (r, r + 1))
+    lo = np.searchsorted(row, n - 1)
     trace_val = np.full(t.size, w, dtype=complex)
-    A = _csc(np.concatenate([row[:lo], np.full(t.size, r, np.int32),
-                             row[hi:]]),
-             np.concatenate([col[:lo], t, col[hi:]]),
-             np.concatenate([val[:lo], trace_val, val[hi:]]), n)
+    A = _csc(np.concatenate([row[:lo], np.full(t.size, n - 1, np.int32)]),
+             np.concatenate([col[:lo], t]),
+             np.concatenate([val[:lo], trace_val]), n)
     b = np.zeros(n, dtype=complex)
-    b[r] = w
+    b[-1] = w
     try:
-        x = spla.splu(A).solve(b)
+        # threshold pivoting in symmetric mode keeps the dissection
+        # order unless a diagonal pivot is below 0.1 of its column
+        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                       options=dict(SymmetricMode=True))
+        x, fill = lu.solve(b), lu.nnz
     except RuntimeError:
         # exactly singular: a second steady state inside the block;
         # least squares on the whole block with the trace row appended
@@ -214,9 +286,11 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
               np.concatenate([col, t]))), shape=(n + 1, n))
         x = spla.lsqr(stacked, np.append(np.zeros(n, dtype=complex), w),
                       atol=1e-12, btol=1e-12)[0]
+        fill = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x
     report = _postprocess(L, vec.reshape(d, d, order="F"), n)
+    report.lu_fill = fill
     if degenerate:
         report.degenerate = True
         warnings.warn("steady-state null space has dimension > 1; "

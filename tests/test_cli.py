@@ -55,6 +55,7 @@ def test_steady_reports_invariance(cfg_path, tmp_path):
     assert summary["invariance_A"] <= 1e-9
     assert summary["deviation_B"] > 1e-4
     assert summary["residual"] <= 1e-9
+    assert summary["lu_fill"] > 0
     assert isinstance(summary["truncation_shift"], float)
     with open(out / "rho_st_re.csv", newline="") as fh:
         rows = [[float(v) for v in r] for r in csv.reader(fh)]

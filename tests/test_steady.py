@@ -14,8 +14,8 @@ from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair.sectors import sector_vec_indices
-from lindpair.steady import (_block_triplets, _csc, _postprocess,
-                             _trace_block, damping_recurrence,
+from lindpair.steady import (_block_triplets, _csc, _dissection_order,
+                             _postprocess, _trace_block, damping_recurrence,
                              off_diagonal_witness, pure_damping_recurrence,
                              solve_steady, spin_steady, thermal_state)
 
@@ -102,8 +102,63 @@ def test_coupled_block_is_sector_zero(raw):
     block, split = _trace_block(sparse_superoperator(bm.L), d)
     sector0 = np.sort(sector_vec_indices(bm.es, d, 0))
     assert not split
-    assert np.array_equal(block, sector0)
+    # breadth-first from the first diagonal index, which comes first
+    assert block[0] == 0
+    assert np.array_equal(np.sort(block), sector0)
     assert model_steady(bm).block_dim == sector0.size
+
+
+@pytest.mark.parametrize("n_trunc", [2, 8, 30])
+def test_dissection_order_permutes_block(n_trunc):
+    bm = _small_model(n_trunc)                  # blocks of 8, 128, 1800
+    S = sparse_superoperator(bm.L)
+    block, _ = _trace_block(S, bm.L.dim)
+    order = _dissection_order(block, bm.L.space.dims)
+    assert order.size == block.size
+    assert np.array_equal(np.sort(order), np.sort(block))
+    # the first diagonal element, whose row becomes the trace row
+    assert order[-1] == trace_row_indices(bm.L.dim)[0]
+
+
+# L.nnz + U.nnz of the same block under splu's default COLAMD column
+# order (SuperLU stored 474,688 entries for it)
+COLAMD_FILL_N45 = 458_070
+
+
+def test_dissection_order_cuts_lu_fill():
+    bm = build_model(ModelConfig(model="spin_oscillator", omega_A=1.0,
+                                 omega_B=1.0, gamma_A=1.0, gamma_B=1.0,
+                                 s=0.5, nbar=0.5, Omega=1.0, n_trunc=45))
+    rep = model_steady(bm)
+    assert 0 < rep.lu_fill < 0.85 * COLAMD_FILL_N45
+    assert rep.residual <= 1e-9
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_dense_coupling_without_lattice_matches_lstsq(seed):
+    # E_A x X_B with a dense hermitian X_B commutes with A's excitation
+    # but couples every level of B, so no plane of the level lattice
+    # separates the block: the order is only a heuristic there
+    n = 12
+    spin, osc = hb.spin(), hb.oscillator(n)
+    space = hb.space(spin, osc)
+    sm, splus, sz = hb.mk_spin_ops(spin)
+    b = hb.mk_destroy(osc)
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    X = hb.Operator(b.space, X + X.conj().T)
+    E = hb.embed(splus @ sm, 0, space)
+    H = (hb.embed(sz, 0, space) * 0.5 + hb.embed(b.dagger() @ b, 1, space)
+         + E @ hb.embed(X, 1, space) * 0.7)
+    L = Liouvillian(space, H, [
+        LindbladTerm(hb.embed(sm, 0, space), 0.7),
+        LindbladTerm(hb.embed(splus, 0, space), 0.3),
+        LindbladTerm(hb.embed(b, 1, space), 1.2),
+        LindbladTerm(hb.embed(b.dagger(), 1, space), 0.2)])
+    rep = solve_steady(L)
+    assert rep.block_dim == 2 * n * n and not rep.degenerate
+    assert trace_norm(rep.rho_st.entries - _lstsq_reference(L)) <= 1e-9
+    assert rep.residual <= 1e-9
 
 
 def test_degenerate_null_space_flagged():
@@ -207,6 +262,7 @@ def test_random_configs_keep_a_marginal(raw):
     # rates, pumps, occupations and couplings drawn for all three models
     bm = build_model(raw)
     rep = model_steady(bm)
+    assert rep.residual <= 1e-9
     red_A = partial_trace(rep.rho_st, bm.a_factors).entries
     assert trace_norm(red_A - bm.analytic_A_steady) <= 1e-7
 
