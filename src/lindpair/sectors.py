@@ -229,6 +229,16 @@ def check_decay_bound(model, rho0, t_grid,
     sectors) raises RuntimeError.  A non-square, non-hermitian or
     unnormalized ``rho0``, a ``t_grid`` that is not strictly increasing,
     or any l below 1 raises ValueError.
+
+    The constant-1 bound is a theorem for a spin A only: A's damping
+    acts on sector +-1 as the scalar ``e^{eta_1 t}`` and the rest of the
+    generator is a Lindblad semigroup, which contracts the trace norm.
+    For an oscillator A the sector block is not normal and valid states
+    can break it even without coupling: on optomechanical (4, 3) with
+    g = 0, nbar = mbar = 0, A in (|1> + |2>)/sqrt(2) and B in its ground
+    state, the sector-1 ratio reaches 1.41415 and ``ls=[1]`` on a grid
+    of step 0.1 raises at t = 2.3; the norm still decays at the rate
+    ``eta_1``, with a prefactor above 1.
     """
     L: Liouvillian = model.L
     es: ExcitationStructure = model.es

@@ -17,6 +17,11 @@ fills the factors far less than SuperLU's default column order;
 SuperLU keeps that order in its symmetric mode and leaves the
 diagonal only for a pivot below 0.1 of its column (threshold
 pivoting), so the order sets the cost and never the answer.
+All of that up to the values is a symbolic analysis of the pattern of
+the superoperator; it is cached per pattern (keyed on the factor
+dimensions and a digest of the CSR index arrays, at most
+``_CACHE_BYTES`` retained), so a sweep over couplings or rates pays
+only for the values, the LU and the postprocess on each solve.
 The recurrence oracle iterates the Fock-basis relations of the damped
 oscillator steady state: the diagonal reproduces a geometric profile,
 while every off-diagonal forces a coefficient sequence whose partial
@@ -27,10 +32,13 @@ argument are checked in exact rational arithmetic.
 
 from __future__ import annotations
 
+import hashlib
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lgamma, pi, sqrt
+from math import exp, factorial, lgamma, pi, prod, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -205,8 +213,9 @@ def _block_triplets(S: sp.csr_matrix, block: np.ndarray):
     the rows of the block hold no column outside it.  So the block is
     read straight off the CSR arrays, its rows gathered by index
     arithmetic and its columns renumbered, with no sliced copy of
-    ``S``.  Also returns the map from vec index to block position (-1
-    outside the block).
+    ``S``.  Returns the rows, the columns, the positions ``at`` of the
+    values in ``S.data`` and the map from vec index to block position
+    (-1 outside the block).
     """
     n = block.size
     first = S.indptr[block]
@@ -216,20 +225,124 @@ def _block_triplets(S: sp.csr_matrix, block: np.ndarray):
                                          count)
     local = np.full(S.shape[0], -1, dtype=np.int32)
     local[block] = np.arange(n, dtype=np.int32)
-    return row, local[S.indices[at]], S.data[at], local
+    return row, local[S.indices[at]], at, local
 
 
-def _csc(row, col, val, n: int) -> sp.csc_matrix:
-    """CSC matrix of row-major triplets without duplicates.
+@dataclass(frozen=True, eq=False)
+class _Analysis:
+    """The symbolic part of a steady solve, set by the pattern of ``S``.
 
-    A stable sort by column keeps each column's rows ascending, so the
-    arrays are canonical and equal to those of the COO -> CSC
-    conversion, built in one constructor call.
+    ``block`` holds the vec indices of the unknowns in solve order and
+    ``degenerate`` the search's flag.  ``at`` are the positions in
+    ``S.data`` of the block's values, row-major in block coordinates.
+    The trace-augmented system is the CSC matrix with row ``indices``
+    and column pointers ``indptr`` whose values are those of
+    ``S.data[at]``, with the trace weight appended, taken at
+    ``gather``; a slot equal to ``at.size`` is a trace-row slot.
     """
+
+    block: np.ndarray
+    degenerate: bool
+    at: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.block, self.at, self.gather,
+                                      self.indices, self.indptr))
+
+
+def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
+    """The symbolic analysis of the steady block of ``S``.
+
+    The block is found and ordered (``_trace_block``,
+    ``_dissection_order``) and read off the CSR arrays
+    (``_block_triplets``).  Its last row, the first diagonal's, gives
+    way to the trace row, and the triplets are laid out in CSC order: a
+    stable sort by column keeps each column's rows ascending, so the
+    arrays are canonical and equal to those of the COO -> CSC
+    conversion.  Every array is read-only.
+    """
+    d = prod(dims)
+    block, degenerate = _trace_block(S, d)
+    block = _dissection_order(block, dims)
+    n = block.size
+    row, col, at, local = _block_triplets(S, block)
+    t = local[trace_row_indices(d)]
+    t = t[t >= 0]
+    lo = np.searchsorted(row, n - 1)
+    col = np.concatenate([col[:lo], t])
     order = np.argsort(col, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    return sp.csc_matrix((val[order], row[order], indptr), shape=(n, n))
+    an = _Analysis(
+        block, degenerate, at.astype(S.indptr.dtype),
+        np.concatenate([np.arange(lo, dtype=S.indptr.dtype),
+                        np.full(t.size, at.size, S.indptr.dtype)])[order],
+        np.concatenate([row[:lo], np.full(t.size, n - 1, np.int32)])[order],
+        indptr)
+    for a in (an.block, an.at, an.gather, an.indices, an.indptr):
+        a.flags.writeable = False
+    return an
+
+
+def _system(S: sp.csr_matrix, an: _Analysis):
+    """The trace-augmented block system of ``S`` and its trace weight.
+
+    The weight ``w = max(1, max |block entries|)`` scales the trace row
+    and the right-hand side to the block's own size.
+    """
+    ext = np.empty(an.at.size + 1, dtype=complex)
+    np.take(S.data, an.at, out=ext[:-1])
+    w = max(1.0, np.abs(ext[:-1]).max() if an.at.size else 1.0)
+    ext[-1] = w
+    n = an.block.size
+    return sp.csc_matrix((ext[an.gather], an.indices, an.indptr),
+                         shape=(n, n)), w
+
+
+# Bytes of symbolic analyses kept between solves.  One pass of the
+# benchmark's steady sweep (102 solves, 10 patterns, blocks of 4 to
+# 4,050 unknowns) keeps 1.85 MB; one spin-oscillator analysis takes
+# 3.4 MB at d=256 (32,768 unknowns) and 13.6 MB at d=512 (131,072), so
+# the bound holds a whole sweep next to two d=512 analyses, ~2% of the
+# peak memory of a d=512 solve.
+_CACHE_BYTES = 32 << 20
+_analyses: OrderedDict = OrderedDict()
+_analyses_lock = threading.Lock()
+
+
+def _pattern_key(S: sp.csr_matrix, dims: tuple) -> tuple:
+    """Cache key of ``S``: the factor dimensions and a 16-byte blake2b
+    digest of ``S.indptr`` and ``S.indices``."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(S.indptr)
+    h.update(S.indices)
+    return dims, h.digest()
+
+
+def _analysis(S: sp.csr_matrix, dims: tuple) -> _Analysis:
+    """The analysis of ``S``, from the cache when its pattern was seen.
+
+    Least recently used out first, with at most ``_CACHE_BYTES``
+    retained; an analysis larger than that is not kept.
+    """
+    key = _pattern_key(S, dims)
+    with _analyses_lock:
+        an = _analyses.get(key)
+        if an is not None:
+            _analyses.move_to_end(key)
+            return an
+    an = _analyse(S, dims)
+    if an.nbytes <= _CACHE_BYTES:
+        with _analyses_lock:
+            kept = sum(a.nbytes for a in _analyses.values())
+            while kept + an.nbytes > _CACHE_BYTES:
+                kept -= _analyses.popitem(last=False)[1].nbytes
+            _analyses[key] = an
+    return an
 
 
 def solve_steady(L: Liouvillian) -> SteadyReport:
@@ -251,23 +364,22 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     solution is still returned.  The state is hermitized, and
     eigenvalues in [-1e-8, 0) are clipped to zero with renormalization;
     anything more negative aborts.
+
+    Everything up to the values depends on the pattern of ``S`` alone:
+    the block, its order, the degeneracy flag, the CSC index arrays and
+    the map from ``S.data`` into them.  That symbolic analysis is kept
+    in a module cache keyed on the factor dimensions and a digest of
+    ``S.indptr`` and ``S.indices`` (at most ``_CACHE_BYTES``, least
+    recently used out first), so a sweep that changes only the values
+    of the generator, a coupling or a rate, pays for it once per
+    pattern.  The values, the LU and the postprocess run on every call.
     """
     d = L.dim
     S = sparse_superoperator(L)
-    block, degenerate = _trace_block(S, d)
-    block = _dissection_order(block, L.space.dims)
+    an = _analysis(S, L.space.dims)
+    block, degenerate = an.block, an.degenerate
     n = block.size
-    row, col, val, local = _block_triplets(S, block)
-    w = max(1.0, np.abs(val).max() if val.size else 1.0)
-    # block positions of the diagonal; the last row, the first
-    # diagonal's, gives way to the trace row
-    t = local[trace_row_indices(d)]
-    t = t[t >= 0]
-    lo = np.searchsorted(row, n - 1)
-    trace_val = np.full(t.size, w, dtype=complex)
-    A = _csc(np.concatenate([row[:lo], np.full(t.size, n - 1, np.int32)]),
-             np.concatenate([col[:lo], t]),
-             np.concatenate([val[:lo], trace_val]), n)
+    A, w = _system(S, an)
     b = np.zeros(n, dtype=complex)
     b[-1] = w
     try:
@@ -280,8 +392,11 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
         # exactly singular: a second steady state inside the block;
         # least squares on the whole block with the trace row appended
         degenerate = True
+        row, col, at, local = _block_triplets(S, block)
+        t = local[trace_row_indices(d)]
+        t = t[t >= 0]
         stacked = sp.csr_matrix(
-            (np.concatenate([val, trace_val]),
+            (np.concatenate([S.data[at], np.full(t.size, w, dtype=complex)]),
              (np.concatenate([row, np.full(t.size, n)]),
               np.concatenate([col, t]))), shape=(n + 1, n))
         x = spla.lsqr(stacked, np.append(np.zeros(n, dtype=complex), w),

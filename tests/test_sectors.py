@@ -249,8 +249,11 @@ def _random_config(rng, model):
 
 
 def test_decay_bound_random_configs_and_states():
-    # the claim holds for every initial state: full-rank random states on
-    # random configs of all three models, every eligible sector
+    # full-rank random states on random configs of all three models,
+    # every eligible sector; the constant-1 bound is a theorem for every
+    # initial state only for a spin A: for an oscillator A these states
+    # pass, but (|1> + |2>)/sqrt(2) on optomechanical (4, 3), g = 0,
+    # nbar = mbar = 0, reaches a sector-1 ratio of 1.41415
     rng = np.random.default_rng(2015)
     for model in ("two_spins", "spin_oscillator", "optomechanical"):
         for _ in range(10):

@@ -14,10 +14,12 @@ from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair.sectors import sector_vec_indices
-from lindpair.steady import (_block_triplets, _csc, _dissection_order,
-                             _postprocess, _trace_block, damping_recurrence,
-                             off_diagonal_witness, pure_damping_recurrence,
-                             solve_steady, spin_steady, thermal_state)
+from lindpair import steady
+from lindpair.steady import (_analyse, _block_triplets, _dissection_order,
+                             _postprocess, _system, _trace_block,
+                             damping_recurrence, off_diagonal_witness,
+                             pure_damping_recurrence, solve_steady,
+                             spin_steady, thermal_state)
 
 
 @settings(max_examples=20, deadline=None)
@@ -198,19 +200,145 @@ def test_block_read_off_csr_matches_slicing():
     bm = _small_model(6)
     S = sparse_superoperator(bm.L)
     block, _ = _trace_block(S, bm.L.dim)
-    row, col, val, local = _block_triplets(S, block)
+    row, col, at, local = _block_triplets(S, block)
     n = block.size
     assert np.array_equal(local[block], np.arange(n))
     assert np.count_nonzero(local >= 0) == n
     sliced = S[block][:, block].tocsr()
-    read = sp.csr_matrix((val, (row, col)), shape=(n, n))
+    read = sp.csr_matrix((S.data[at], (row, col)), shape=(n, n))
     assert (read != sliced).nnz == 0 and read.nnz == sliced.nnz
-    # the direct CSC build is the canonical COO -> CSC conversion
-    A, B = _csc(row, col, val, n), sp.csc_matrix((val, (row, col)),
-                                                shape=(n, n))
+
+
+@pytest.mark.parametrize("n_trunc", [2, 6])
+def test_analysis_system_is_canonical_csc(n_trunc):
+    # the cached CSC arrays and gather give the canonical COO -> CSC
+    # conversion of the block with its last row replaced by the trace row
+    bm = _small_model(n_trunc)
+    d, S = bm.L.dim, sparse_superoperator(bm.L)
+    an = _analyse(S, bm.L.space.dims)
+    A, w = _system(S, an)
+    n = an.block.size
+    row, col, at, local = _block_triplets(S, an.block)
+    val = S.data[at]
+    assert w == max(1.0, np.abs(val).max())
+    t = local[trace_row_indices(d)]
+    t = t[t >= 0]
+    keep = row < n - 1
+    B = sp.csc_matrix(
+        (np.concatenate([val[keep], np.full(t.size, w, dtype=complex)]),
+         (np.concatenate([row[keep], np.full(t.size, n - 1)]),
+          np.concatenate([col[keep], t]))), shape=(n, n))
     for x, y in ((A.indptr, B.indptr), (A.indices, B.indices),
                  (A.data, B.data)):
         assert np.array_equal(x, y)
+
+
+def _report_bytes(rep):
+    return (rep.rho_st.entries.tobytes(), np.float64(rep.residual).tobytes(),
+            rep.block_dim, rep.lu_fill, rep.degenerate,
+            np.float64(rep.clipped_weight).tobytes())
+
+
+_CACHE_GRID = [
+    dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.7, s_A=0.8,
+         s_B=0.6, Omega=1.3),
+    dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.7, s_A=0.0,
+         s_B=0.6, Omega=0.0),
+    dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+         gamma_B=1.0, s=0.3, nbar=0.2, Omega=0.8, n_trunc=6),
+    dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+         gamma_B=1.0, s=0.3, nbar=0.2, Omega=0.0, n_trunc=6),
+    dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+         gamma_B=1.0, s=0.0, nbar=0.0, Omega=0.8, n_trunc=6),
+    dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+         gamma_B=1.0, s=0.3, nbar=0.2, Omega=0.8, n_trunc=11),
+    dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0, gamma=0.9,
+         nbar=0.2, mbar=0.1, g=0.6, n_trunc=(4, 5)),
+    dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0, gamma=0.9,
+         nbar=0.2, mbar=0.1, g=0.0, n_trunc=(4, 5)),
+    dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0, gamma=0.9,
+         nbar=0.0, mbar=0.0, g=0.6, n_trunc=(4, 5)),
+    dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0, gamma=0.9,
+         nbar=0.2, mbar=0.1, g=0.6, n_trunc=(5, 7)),
+]
+
+
+def _counting_analyse(monkeypatch):
+    calls = []
+
+    def counted(S, dims):
+        calls.append(dims)
+        return _analyse(S, dims)
+    monkeypatch.setattr(steady, "_analyse", counted)
+    return calls
+
+
+def test_cold_and_warm_cache_agree(monkeypatch):
+    cold = []
+    for raw in _CACHE_GRID:
+        steady._analyses.clear()
+        cold.append(_report_bytes(model_steady(build_model(raw))))
+    steady._analyses.clear()
+    for raw in _CACHE_GRID:
+        model_steady(build_model(raw))
+    calls = _counting_analyse(monkeypatch)
+    warm = [_report_bytes(model_steady(build_model(raw)))
+            for raw in _CACHE_GRID]
+    assert not calls                            # every warm solve hit
+    assert warm == cold
+    # the same d with and without coupling: two patterns, two blocks
+    steady._analyses.clear()
+    reps = [model_steady(build_model(raw)) for raw in _CACHE_GRID[2:4]]
+    assert len(steady._analyses) == 2 and len(calls) == 2
+    assert reps[0].block_dim != reps[1].block_dim
+
+
+def test_degeneracy_survives_cache_hit(monkeypatch):
+    sp1 = hb.space(hb.spin())
+    sm, splus, sz = hb.mk_spin_ops(hb.spin())
+    dephasing = Liouvillian(sp1, hb.Operator(sp1, np.zeros((2, 2), complex)),
+                            [LindbladTerm(hb.embed(sz, 0, sp1), 0.5)])
+    sx = hb.embed(sm + splus, 0, sp1)
+    singular = Liouvillian(sp1, sx, [LindbladTerm(sx, 1.0)])
+    steady._analyses.clear()
+    calls = _counting_analyse(monkeypatch)
+    for L, lu_fill in ((dephasing, None), (singular, 0)):
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning):
+                rep = solve_steady(L)
+            assert rep.degenerate and rep.residual <= 1e-10
+            if lu_fill is not None:
+                assert rep.lu_fill == lu_fill       # the lsqr fallback
+    assert len(calls) == 2                      # one miss per generator
+
+
+def test_analysis_cache_is_bounded(monkeypatch):
+    models = [_small_model(n) for n in range(2, 9)]
+    sizes = [_analyse(sparse_superoperator(bm.L), bm.L.space.dims).nbytes
+             for bm in models]
+    bound = sum(sizes[-3:]) - 1                 # the last three do not fit
+    monkeypatch.setattr(steady, "_CACHE_BYTES", bound)
+    steady._analyses.clear()
+    for bm in models:
+        solve_steady(bm.L)
+        assert sum(an.nbytes for an in steady._analyses.values()) <= bound
+        # the most recent entry survives
+        key = steady._pattern_key(sparse_superoperator(bm.L),
+                                  bm.L.space.dims)
+        assert next(reversed(steady._analyses)) == key
+    assert len(steady._analyses) < len(models)
+    for an in steady._analyses.values():
+        for a in (an.block, an.at, an.gather, an.indices, an.indptr):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+    # an analysis above the bound is not kept and evicts nothing
+    big = _small_model(20)
+    assert _analyse(sparse_superoperator(big.L), big.L.space.dims).nbytes \
+        > bound
+    before = list(steady._analyses)
+    solve_steady(big.L)
+    assert list(steady._analyses) == before
 
 
 def _with_spectrum(w):
