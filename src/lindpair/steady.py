@@ -16,7 +16,24 @@ of that lattice (George, SIAM J. Numer. Anal. 10, 345 (1973)), which
 fills the factors far less than SuperLU's default column order;
 SuperLU keeps that order in its symmetric mode and leaves the
 diagonal only for a pivot below 0.1 of its column (threshold
-pivoting), so the order sets the cost and never the answer.
+pivoting), so the order sets the cost and never the answer.  The
+trace row, numbered last, carries a power-of-two weight some 2**20
+below the smallest diagonal of its columns, so the pivot search never
+takes it early; weighted at the block's largest entry, it is swapped
+in at the first columns and joins every diagonal unknown into one
+dense clique.  Entries SuperLU stores for L and U, weight at the
+largest entry -> power-of-two weight (the latter is the fill of the
+unpivoted dissection order):
+
+    spin-oscillator d=90 (n_trunc 45)      367,581 ->   325,026
+    optomechanical (12, 15)                533,114 ->   427,138
+    optomechanical (10, 12)                207,359 ->   168,013
+    spin-oscillator d=256 (n_trunc 128)  4,399,655 -> 3,933,896
+    optomechanical (12, 15), uncoupled       8,686 ->     3,856
+
+The state is supported on the block's pairs (i, j), whose levels
+split it into diagonal blocks (15 x 15 ones at optomechanical
+(12, 15)); its positivity check, clip and residual run block by block.
 All of that up to the values is a symbolic analysis of the pattern of
 the superoperator; it is cached per pattern (keyed on the factor
 dimensions and a digest of the CSR index arrays, at most
@@ -38,13 +55,13 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, lgamma, pi, prod, sqrt
+from math import exp, factorial, frexp, ldexp, lgamma, pi, prod, sqrt
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .evolve import trace_norm
+from .evolve import blockwise_trace_norm, trace_norm
 from .hilbert import Operator
 from .liouvillian import Liouvillian, sparse_superoperator, trace_row_indices
 
@@ -63,6 +80,8 @@ __all__ = [
 COEFF_EXACT_CAP = 25
 # Largest box of the steady block left uncut by the dissection order.
 _LEAF = 16
+# Lowest diagonal, relative to the largest, that sets the trace weight.
+_DIAG_FLOOR = 2.0 ** -40
 
 
 @dataclass
@@ -108,28 +127,46 @@ def spin_steady(s: float) -> np.ndarray:
 
 
 def _postprocess(L: Liouvillian, raw: np.ndarray,
-                 block_dim: int) -> SteadyReport:
-    rho = 0.5 * (raw + raw.conj().T)
+                 an: _Analysis) -> SteadyReport:
+    """Hermitize, normalize, check positivity and take the residual.
+
+    ``raw`` is supported on the pairs of the block of ``an``, so every
+    step runs on the diagonal blocks ``an.parts`` of the state: its
+    eigenvalues, the clip and the residual's trace norm, with one
+    LAPACK call per part size.  Only a clip on a block that leaves
+    holes in its parts' squares (``an.partial``) can move the state
+    off the block, and then the residual is taken on the whole matrix.
+    """
+    # column-major like vec, so that flat is a view of rho
+    rho = np.add(raw, raw.conj().T, order="F")
+    rho *= 0.5
     tr = np.trace(rho).real
     if abs(tr) < 1e-12:
         raise RuntimeError("steady-state candidate has vanishing trace")
-    rho = rho / tr
+    rho /= tr
+    flat = rho.reshape(-1, order="F")
     clipped = 0.0
     # eigenvectors are needed only to clip, which is rare
-    if np.linalg.eigvalsh(rho).min() < 0:
-        w, V = np.linalg.eigh(rho)
-        if w.min() < -1e-8:
+    if min(np.linalg.eigvalsh(flat[p]).min() for p in an.parts) < 0:
+        eigs = [np.linalg.eigh(flat[p]) for p in an.parts]
+        low = min(w.min() for w, _ in eigs)
+        if low < -1e-8:
             raise RuntimeError(
-                f"steady state has eigenvalue {w.min():.3e} below -1e-8; "
+                f"steady state has eigenvalue {low:.3e} below -1e-8; "
                 "likely truncation failure")
-        neg = w[w < 0]
-        clipped = float(-neg.sum()) if neg.size else 0.0
+        clipped = float(-sum(w[w < 0].sum() for w, _ in eigs))
         if clipped > 0:
-            w = np.clip(w, 0.0, None)
-            rho = (V * w) @ V.conj().T
-            rho = rho / np.trace(rho).real
-    residual = trace_norm(L.apply(rho))
-    return SteadyReport(Operator(L.space, rho), residual, block_dim,
+            for p, (w, V) in zip(an.parts, eigs):
+                flat[p] = (V * np.clip(w, 0.0, None)[:, None, :]
+                           ) @ V.conj().swapaxes(1, 2)
+            rho /= np.trace(rho).real
+    R = L.apply(rho)
+    if clipped > 0 and an.partial:
+        residual = trace_norm(R)
+    else:
+        R_flat = R.reshape(-1, order="F")
+        residual = blockwise_trace_norm(R, [R_flat[p] for p in an.parts])
+    return SteadyReport(Operator(L.space, rho), residual, an.block.size,
                         clipped_weight=clipped)
 
 
@@ -171,8 +208,10 @@ def _dissection_order(block: np.ndarray, dims: tuple) -> np.ndarray:
     The boxes of one level are cut together, with no recursion.  The
     first element, the first diagonal index, goes last: its row
     becomes the trace row, and eliminating it early would join every
-    diagonal unknown into one dense clique.  The order only sets the
-    fill; any permutation gives the same solution.
+    diagonal unknown into one dense clique.  The small weight of the
+    trace row (``_system``) keeps threshold pivoting from doing so.
+    The order only sets the fill; any permutation gives the same
+    solution.
     """
     rest = block[1:]
     if block.size <= _LEAF:
@@ -239,6 +278,12 @@ class _Analysis:
     and column pointers ``indptr`` whose values are those of
     ``S.data[at]``, with the trace weight appended, taken at
     ``gather``; a slot equal to ``at.size`` is a trace-row slot.
+    ``tdiag`` are the positions in ``S.data`` of the diagonal entries of
+    the trace row's columns, its own column excluded; they set the
+    weight.  ``parts`` splits the state into diagonal blocks: one stack
+    of vec indices ``(m, k, k)`` per part size k, the ``[r, c]`` entry
+    of a part with levels ``a`` at ``a[c] d + a[r]``.  ``partial`` is
+    set when the block does not fill its parts' squares.
     """
 
     block: np.ndarray
@@ -247,11 +292,56 @@ class _Analysis:
     gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+    tdiag: np.ndarray
+    parts: tuple
+    partial: bool
+
+    @property
+    def arrays(self) -> tuple:
+        return (self.block, self.at, self.gather, self.indices, self.indptr,
+                self.tdiag) + self.parts
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.block, self.at, self.gather,
-                                      self.indices, self.indptr))
+        return sum(a.nbytes for a in self.arrays)
+
+
+def _parts(block: np.ndarray, d: int, dtype) -> tuple[tuple, bool]:
+    """The diagonal blocks of a state supported on ``block``.
+
+    The levels i and j of each pair (i, j) of the block are joined; the
+    connected components of that graph split every state on the block
+    into diagonal blocks, on which ``L`` acts as well: a Lindblad
+    generator maps rho^dag to L(rho)^dag, so the block is closed under
+    (i, j) -> (j, i).  Should it not be, the state is one part.  Each
+    level's label falls to the least level it reaches, by minimum
+    propagation with pointer jumping: two rounds when the block fills
+    its parts' squares.  Returns the stacks of ``_Analysis.parts`` and
+    ``partial``.
+    """
+    i, j = block % d, block // d
+    member = np.zeros(d * d, dtype=bool)
+    member[block] = True
+    levels, label = np.arange(d), np.zeros(d, dtype=np.intp)
+    if member[i * d + j].all():
+        levels = np.flatnonzero(member.reshape(d, d).any(axis=0))
+        label = np.arange(d)
+        while True:
+            new = label.copy()
+            np.minimum.at(new, i, label[j])
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+    levels = levels[np.argsort(label[levels], kind="stable")]
+    size = np.bincount(label[levels])
+    size = size[size > 0]
+    first = np.cumsum(size) - size
+    parts = []
+    for k in np.unique(size):
+        a = levels[first[size == k][:, None] + np.arange(k)]
+        parts.append((a[:, None, :] * d + a[:, :, None]).astype(dtype))
+    return tuple(parts), sum(p.size for p in parts) != block.size
 
 
 def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
@@ -263,7 +353,8 @@ def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
     way to the trace row, and the triplets are laid out in CSC order: a
     stable sort by column keeps each column's rows ascending, so the
     arrays are canonical and equal to those of the COO -> CSC
-    conversion.  Every array is read-only.
+    conversion.  The state's diagonal blocks come from ``_parts``.
+    Every array is read-only.
     """
     d = prod(dims)
     block, degenerate = _trace_block(S, d)
@@ -273,17 +364,21 @@ def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
     t = local[trace_row_indices(d)]
     t = t[t >= 0]
     lo = np.searchsorted(row, n - 1)
+    is_t = np.zeros(n, dtype=bool)
+    is_t[t] = True
+    tdiag = at[:lo][(row[:lo] == col[:lo]) & is_t[col[:lo]]]
     col = np.concatenate([col[:lo], t])
     order = np.argsort(col, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    dtype = S.indptr.dtype
     an = _Analysis(
-        block, degenerate, at.astype(S.indptr.dtype),
-        np.concatenate([np.arange(lo, dtype=S.indptr.dtype),
-                        np.full(t.size, at.size, S.indptr.dtype)])[order],
+        block, degenerate, at.astype(dtype),
+        np.concatenate([np.arange(lo, dtype=dtype),
+                        np.full(t.size, at.size, dtype)])[order],
         np.concatenate([row[:lo], np.full(t.size, n - 1, np.int32)])[order],
-        indptr)
-    for a in (an.block, an.at, an.gather, an.indices, an.indptr):
+        indptr, tdiag.astype(dtype), *_parts(block, d, dtype))
+    for a in an.arrays:
         a.flags.writeable = False
     return an
 
@@ -291,12 +386,25 @@ def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
 def _system(S: sp.csr_matrix, an: _Analysis):
     """The trace-augmented block system of ``S`` and its trace weight.
 
-    The weight ``w = max(1, max |block entries|)`` scales the trace row
-    and the right-hand side to the block's own size.
+    The weight ``w`` of the trace row and the right-hand side is the
+    power of two ``2**(floor(log2 m) - 20)``, with ``m`` the smallest
+    |diagonal entry| among the trace row's other columns, floored at
+    ``_DIAG_FLOOR`` times the largest so that ``w`` stays far from
+    underflow (1 without any).  Threshold pivoting then never takes the
+    trace row before its own column, last in the order, unless a
+    diagonal is well below the rest of its column, and scaling a row by
+    a power of two is exact: the weight changes the pivots, not the
+    arithmetic.  A weight above the first columns' diagonals, such as
+    the block's largest |entry|, has the trace row pivoted in at column
+    0 or 1, and the factors fill by up to a quarter more (module
+    docstring).
     """
     ext = np.empty(an.at.size + 1, dtype=complex)
     np.take(S.data, an.at, out=ext[:-1])
-    w = max(1.0, np.abs(ext[:-1]).max() if an.at.size else 1.0)
+    w = 1.0
+    if an.tdiag.size:
+        v = np.abs(S.data[an.tdiag])
+        w = ldexp(1.0, frexp(max(v.min(), v.max() * _DIAG_FLOOR))[1] - 21)
     ext[-1] = w
     n = an.block.size
     return sp.csc_matrix((ext[an.gather], an.indices, an.indptr),
@@ -305,8 +413,8 @@ def _system(S: sp.csr_matrix, an: _Analysis):
 
 # Bytes of symbolic analyses kept between solves.  One pass of the
 # benchmark's steady sweep (102 solves, 10 patterns, blocks of 4 to
-# 4,050 unknowns) keeps 1.85 MB; one spin-oscillator analysis takes
-# 3.4 MB at d=256 (32,768 unknowns) and 13.6 MB at d=512 (131,072), so
+# 4,050 unknowns) keeps 1.93 MB; one spin-oscillator analysis takes
+# 3.5 MB at d=256 (32,768 unknowns) and 14.1 MB at d=512 (131,072), so
 # the bound holds a whole sweep next to two d=512 analyses, ~2% of the
 # peak memory of a d=512 solve.
 _CACHE_BYTES = 32 << 20
@@ -357,19 +465,27 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     first diagonal index, numbered last, gives way to the trace
     functional, and the system, built as one CSC matrix, goes through
     ``splu`` in that order, in symmetric mode with threshold pivoting
-    (a diagonal pivot is kept unless below 0.1 of its column).  A
-    steady-state space of dimension above one is flagged, with a
-    RuntimeWarning, when the search from the first diagonal index
-    misses another, or the factorisation is exactly singular; one
-    solution is still returned.  The state is hermitized, and
-    eigenvalues in [-1e-8, 0) are clipped to zero with renormalization;
-    anything more negative aborts.
+    (a diagonal pivot is kept unless below 0.1 of its column).  The
+    trace row and right-hand side carry a power of two well below the
+    diagonals of the row's columns (``_system``), so that row is
+    pivoted last unless one of those diagonals vanishes, as for a spin
+    at s = 1 (rho_00 = 0); the weight changes the pivots, never the
+    solution.  A steady-state space of dimension above one is flagged,
+    with a RuntimeWarning, when the search from the first diagonal
+    index misses another, or the factorisation is exactly singular;
+    one solution is still returned, by least squares with the trace row
+    weighted at the block's largest entry.  The state is hermitized,
+    and eigenvalues in [-1e-8, 0) are clipped to zero with
+    renormalization; anything more negative aborts.  Those eigenvalues,
+    the clip and the residual are taken on the state's diagonal blocks
+    (``_postprocess``), not on the d x d matrix.
 
     Everything up to the values depends on the pattern of ``S`` alone:
-    the block, its order, the degeneracy flag, the CSC index arrays and
-    the map from ``S.data`` into them.  That symbolic analysis is kept
-    in a module cache keyed on the factor dimensions and a digest of
-    ``S.indptr`` and ``S.indices`` (at most ``_CACHE_BYTES``, least
+    the block, its order, the degeneracy flag, the CSC index arrays,
+    the map from ``S.data`` into them, the diagonal slots that set the
+    weight and the state's diagonal blocks.  That symbolic analysis is
+    kept in a module cache keyed on the factor dimensions and a digest
+    of ``S.indptr`` and ``S.indices`` (at most ``_CACHE_BYTES``, least
     recently used out first), so a sweep that changes only the values
     of the generator, a coupling or a rate, pays for it once per
     pattern.  The values, the LU and the postprocess run on every call.
@@ -390,11 +506,13 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
         x, fill = lu.solve(b), lu.nnz
     except RuntimeError:
         # exactly singular: a second steady state inside the block;
-        # least squares on the whole block with the trace row appended
+        # least squares on the whole block with the trace row appended,
+        # weighted to the block's own size
         degenerate = True
         row, col, at, local = _block_triplets(S, block)
         t = local[trace_row_indices(d)]
         t = t[t >= 0]
+        w = max(1.0, np.abs(S.data[at]).max())
         stacked = sp.csr_matrix(
             (np.concatenate([S.data[at], np.full(t.size, w, dtype=complex)]),
              (np.concatenate([row, np.full(t.size, n)]),
@@ -404,7 +522,7 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
         fill = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x
-    report = _postprocess(L, vec.reshape(d, d, order="F"), n)
+    report = _postprocess(L, vec.reshape(d, d, order="F"), an)
     report.lu_fill = fill
     if degenerate:
         report.degenerate = True

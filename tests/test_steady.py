@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,8 +133,96 @@ def test_dissection_order_cuts_lu_fill():
                                  omega_B=1.0, gamma_A=1.0, gamma_B=1.0,
                                  s=0.5, nbar=0.5, Omega=1.0, n_trunc=45))
     rep = model_steady(bm)
-    assert 0 < rep.lu_fill < 0.85 * COLAMD_FILL_N45
+    # 0.71 with the trace row pivoted last, 0.80 when it is swapped in
+    # at the first columns
+    assert 0 < rep.lu_fill < 0.72 * COLAMD_FILL_N45
     assert rep.residual <= 1e-9
+
+
+_SO45 = dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+             gamma_B=1.0, s=0.5, nbar=0.5, Omega=1.0, n_trunc=45)
+_OM1215 = dict(model="optomechanical", omega=1.0, nu=1.5, kappa=1.0,
+               gamma=0.9, nbar=0.2, mbar=0.1, g=0.6, n_trunc=(12, 15))
+_TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.7,
+                  s_A=0.8, s_B=0.6, Omega=1.3)
+
+
+def _production_lu(S, an, thresh=0.1):
+    return spla.splu(_system(S, an)[0], permc_spec="NATURAL",
+                     diag_pivot_thresh=thresh,
+                     options=dict(SymmetricMode=True))
+
+
+@pytest.mark.parametrize("raw", [
+    dict(_SO45, s=0.0, nbar=0.0), dict(_SO45, s=0.0, nbar=0.5),
+    dict(_SO45, s=0.5, nbar=0.0), _SO45,
+    _OM1215, dict(_OM1215, g=0.0), dict(_OM1215, nbar=0.0, mbar=0.0),
+    _TWO_SPINS,
+], ids=["so-s0-n0", "so-s0-n.5", "so-s.5-n0", "so-s.5-n.5",
+        "om", "om-uncoupled", "om-n0-m0", "two_spins"])
+def test_trace_row_is_pivoted_last(raw):
+    # the small power-of-two weight keeps the trace row out of the
+    # pivot search, so SuperLU factors the dissection order unpivoted
+    bm = build_model(raw)
+    S = sparse_superoperator(bm.L)
+    an = _analyse(S, bm.L.space.dims)
+    n = an.block.size
+    lu = _production_lu(S, an)
+    assert lu.perm_r[-1] == n - 1
+    assert lu.nnz == _production_lu(S, an, thresh=0.0).nnz
+
+
+@pytest.mark.parametrize("raw", [
+    dict(_TWO_SPINS, s_A=1.0),
+    dict(_SO45, s=1.0, n_trunc=15),
+], ids=["two_spins", "spin_oscillator"])
+def test_trace_row_swapped_in_when_ground_population_vanishes(raw):
+    # at s = 1, rho_00 = 0: the trace row must take another row's place
+    bm = build_model(raw)
+    S = sparse_superoperator(bm.L)
+    an = _analyse(S, bm.L.space.dims)
+    if raw["model"] == "spin_oscillator":
+        assert _production_lu(S, an).perm_r[-1] != an.block.size - 1
+    rep = model_steady(bm)
+    assert rep.residual <= 1e-9
+    red_A = partial_trace(rep.rho_st, bm.a_factors).entries
+    assert trace_norm(red_A - bm.analytic_A_steady) <= 1e-7
+
+
+@pytest.mark.parametrize("raw", [
+    dict(_TWO_SPINS, s_A=2.225073858507203e-309, s_B=1.0, Omega=1.0),
+    dict(_TWO_SPINS, s_A=1.0, s_B=2.225073858507203e-309, Omega=0.0),
+    dict(_SO45, s=1e-300, nbar=1e-300, n_trunc=8),
+], ids=["two_spins-A", "two_spins-B", "spin_oscillator"])
+def test_subnormal_diagonal_keeps_trace_weight_normal(raw, recwarn):
+    # a diagonal near underflow must not drag the trace weight there
+    bm = build_model(raw)
+    rep = model_steady(bm)
+    assert not rep.degenerate and not recwarn.list
+    assert rep.residual <= 1e-9
+    red_A = partial_trace(rep.rho_st, bm.a_factors).entries
+    assert trace_norm(red_A - bm.analytic_A_steady) <= 1e-7
+
+
+@pytest.mark.parametrize("raw, parts", [
+    (_SO45, [(2, 45, 45)]), (_OM1215, [(12, 15, 15)]),
+    (dict(_OM1215, g=0.0), [(180, 1, 1)]), (_TWO_SPINS, [(2, 2, 2)]),
+], ids=["spin_oscillator", "optomechanical", "om-uncoupled", "two_spins"])
+def test_state_splits_into_diagonal_blocks(raw, parts):
+    bm = build_model(raw)
+    an = _analyse(sparse_superoperator(bm.L), bm.L.space.dims)
+    assert [p.shape for p in an.parts] == parts and not an.partial
+    # the parts' squares hold the block, each vec index once
+    assert np.array_equal(np.sort(np.concatenate([p.ravel()
+                                                  for p in an.parts])),
+                          np.sort(an.block))
+
+
+def test_block_open_under_transposition_is_one_part():
+    # (0, 0) and (1, 0) without (0, 1): the state is not split
+    parts, partial = steady._parts(np.array([0, 1]), 2, np.int32)
+    assert len(parts) == 1 and parts[0].shape == (1, 2, 2) and partial
+    assert np.array_equal(parts[0][0], [[0, 2], [1, 3]])
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -220,10 +309,15 @@ def test_analysis_system_is_canonical_csc(n_trunc):
     n = an.block.size
     row, col, at, local = _block_triplets(S, an.block)
     val = S.data[at]
-    assert w == max(1.0, np.abs(val).max())
     t = local[trace_row_indices(d)]
     t = t[t >= 0]
     keep = row < n - 1
+    # the weight: a power of two 2**20 to 2**21 below the smallest
+    # |diagonal| of the trace row's other columns
+    diag = np.abs(val[keep & (row == col) & np.isin(col, t)])
+    m = max(diag.min(), diag.max() * 2.0 ** -40)
+    assert w == 2.0 ** (np.floor(np.log2(m)) - 20)
+    assert m / 2.0 ** 21 < w <= m / 2.0 ** 20
     B = sp.csc_matrix(
         (np.concatenate([val[keep], np.full(t.size, w, dtype=complex)]),
          (np.concatenate([row[keep], np.full(t.size, n - 1)]),
@@ -328,7 +422,7 @@ def test_analysis_cache_is_bounded(monkeypatch):
         assert next(reversed(steady._analyses)) == key
     assert len(steady._analyses) < len(models)
     for an in steady._analyses.values():
-        for a in (an.block, an.at, an.gather, an.indices, an.indptr):
+        for a in an.arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0
@@ -342,18 +436,26 @@ def test_analysis_cache_is_bounded(monkeypatch):
 
 
 def _with_spectrum(w):
-    # a state with eigenvalues w in a random basis, on a d=4 model
+    # a state with eigenvalues w, in random bases of the two 2x2
+    # diagonal blocks of the d=4 two-spin block, and its analysis
     bm = build_model(ModelConfig(model="two_spins", omega=1.0, gamma_A=1.0,
                                  gamma_B=0.7, s_A=0.8, s_B=0.6, Omega=0.5))
+    an = _analyse(sparse_superoperator(bm.L), bm.L.space.dims)
+    assert [p.shape for p in an.parts] == [(2, 2, 2)]
     rng = np.random.default_rng(5)
-    U = scipy.linalg.qr(rng.normal(size=(4, 4))
-                        + 1j * rng.normal(size=(4, 4)))[0]
-    return bm.L, (U * np.asarray(w)) @ U.conj().T
+    raw = np.zeros(16, dtype=complex)
+    for p, part_w in zip(an.parts[0], np.reshape(w, (2, 2))):
+        U = scipy.linalg.qr(rng.normal(size=(2, 2))
+                            + 1j * rng.normal(size=(2, 2)))[0]
+        raw[p] = (U * part_w) @ U.conj().T
+    raw = raw.reshape(4, 4, order="F")
+    assert np.allclose(np.linalg.eigvalsh(raw), np.sort(w), atol=1e-15)
+    return bm.L, raw, an
 
 
 def test_postprocess_clips_small_negative_eigenvalue():
-    L, raw = _with_spectrum([0.3, 0.3, 0.4 + 1e-12, -1e-12])
-    rep = _postprocess(L, raw, 16)
+    L, raw, an = _with_spectrum([0.3, 0.4 + 1e-12, 0.3, -1e-12])
+    rep = _postprocess(L, raw, an)
     assert rep.clipped_weight == pytest.approx(1e-12, rel=1e-3)
     rho = rep.rho_st.entries
     assert np.abs(rho - rho.conj().T).max() <= 1e-15
@@ -362,9 +464,48 @@ def test_postprocess_clips_small_negative_eigenvalue():
 
 
 def test_postprocess_aborts_on_large_negative_eigenvalue():
-    L, raw = _with_spectrum([0.3, 0.3, 0.4 + 1e-6, -1e-6])
+    L, raw, an = _with_spectrum([0.3, 0.4 + 1e-6, 0.3, -1e-6])
     with pytest.raises(RuntimeError, match="likely truncation failure"):
-        _postprocess(L, raw, 16)
+        _postprocess(L, raw, an)
+
+
+def _dense_postprocess(L, raw):
+    # the whole-matrix postprocess: hermitize, normalize, clip the
+    # spectrum of the d x d state and take the residual's trace norm
+    rho = 0.5 * (raw + raw.conj().T)
+    rho = rho / np.trace(rho).real
+    w, V = np.linalg.eigh(rho)
+    low = w.min()
+    clipped = 0.0
+    if low < 0:
+        clipped = float(-w[w < 0].sum())
+        rho = (V * np.clip(w, 0.0, None)) @ V.conj().T
+        rho = rho / np.trace(rho).real
+    return low, clipped, trace_norm(L.apply(rho)), rho
+
+
+def _part_min_eigenvalue(raw, an):
+    flat = (0.5 * (raw + raw.conj().T)).reshape(-1, order="F")
+    return min(np.linalg.eigvalsh(flat[p]).min() for p in an.parts)
+
+
+def _assert_matches_dense(L, raw, an):
+    low, clipped, residual, rho = _dense_postprocess(L, raw)
+    rep = _postprocess(L, raw, an)
+    tr = np.trace(raw).real
+    assert abs(_part_min_eigenvalue(raw, an) / tr - low) <= 1e-15
+    assert abs(rep.clipped_weight - clipped) <= 1e-15
+    assert abs(rep.residual - residual) <= 1e-15
+    assert np.abs(rep.rho_st.entries - rho).max() <= 1e-13
+    return rep
+
+
+def _shifted(rho, an):
+    # rho - (lambda_min + 1e-10) 1: on the block's pairs, one negative
+    # eigenvalue of -1e-10 (more when lambda_min is degenerate)
+    flat = rho.reshape(-1, order="F")
+    low = min(np.linalg.eigvalsh(flat[p]).min() for p in an.parts)
+    return rho - (low + 1e-10) * np.eye(rho.shape[0])
 
 
 _rate = st.floats(0.2, 2.0)
@@ -393,6 +534,43 @@ def test_random_configs_keep_a_marginal(raw):
     assert rep.residual <= 1e-9
     red_A = partial_trace(rep.rho_st, bm.a_factors).entries
     assert trace_norm(red_A - bm.analytic_A_steady) <= 1e-7
+
+
+@settings(max_examples=25, deadline=None)
+@given(_model_cfgs)
+def test_blockwise_postprocess_matches_dense(raw):
+    bm = build_model(raw)
+    an = _analyse(sparse_superoperator(bm.L), bm.L.space.dims)
+    assert not an.partial
+    rho = model_steady(bm).rho_st.entries
+    _assert_matches_dense(bm.L, rho, an)
+    # a clip on a filled block keeps the state on its parts
+    rep = _assert_matches_dense(bm.L, _shifted(rho, an), an)
+    assert rep.clipped_weight >= 1e-10 * (1 - 1e-6)
+
+
+def test_clip_on_partial_block_takes_whole_matrix_residual():
+    # jumps |0><1| + |2><0| and |0><2| + |1><2| on three levels: the
+    # block misses (1, 2) and (2, 1), and the steady state has full
+    # rank, so the clip of its shifted copy leaves the block
+    spc = hb.space(hb.oscillator(3))
+    J1, J2 = np.zeros((3, 3), complex), np.zeros((3, 3), complex)
+    J1[0, 1] = J1[2, 0] = 1.0
+    J2[0, 2] = J2[1, 2] = 1.0
+    L = Liouvillian(spc, hb.Operator(spc, np.zeros((3, 3), complex)),
+                    [LindbladTerm(hb.Operator(spc, J1), 1.0),
+                     LindbladTerm(hb.Operator(spc, J2), 1.0)])
+    an = _analyse(sparse_superoperator(L), (3,))
+    assert an.partial and an.block.size == 7
+    rep = solve_steady(L)
+    assert rep.residual <= 1e-12 and not rep.degenerate
+    rep = _assert_matches_dense(L, rep.rho_st.entries, an)
+    assert rep.clipped_weight == 0.0
+    rep = _assert_matches_dense(L, _shifted(rep.rho_st.entries, an), an)
+    assert rep.clipped_weight > 0.0
+    # the clipped state has left the block's pairs
+    vec = rep.rho_st.entries.reshape(-1, order="F")
+    assert np.abs(np.delete(vec, an.block)).max() > 0
 
 
 def test_pure_damping_diagonal_recurrence():
