@@ -16,6 +16,7 @@ values.
 from __future__ import annotations
 
 import dataclasses
+import time
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -81,6 +82,9 @@ class TrajectoryRecord:
     reduced state of subsystem A to the supplied target, when requested;
     ``sector_pair_norms`` maps an excitation difference ``l`` to the
     trace norm of the corresponding +-l block pair along the trajectory.
+    ``rhs_evals`` is the number of ``L.apply`` calls the integrator made
+    and ``integrate_s`` the wall seconds spent in the sample loop
+    (integration and recording of samples 1 onwards).
     """
 
     times: np.ndarray
@@ -89,6 +93,8 @@ class TrajectoryRecord:
     sector_pair_norms: dict[int, np.ndarray]
     final_state: np.ndarray
     states: list[np.ndarray] | None = None
+    rhs_evals: int = 0
+    integrate_s: float = 0.0
 
 
 def evolve(L: Liouvillian, rho0, t_grid,
@@ -156,10 +162,18 @@ def evolve(L: Liouvillian, rho0, t_grid,
             states.append(state.copy())
 
     record(0, rho)
-    rhs = lambda t, y: L.apply(y)
+    rhs_evals = 0
+
+    def rhs(t, y):
+        nonlocal rhs_evals
+        rhs_evals += 1
+        return L.apply(y)
+
+    start = time.perf_counter()
     for i in range(1, n_samp):
         rho = integrate_adaptive(rhs, rho, t_grid[i - 1], t_grid[i], tol=tol)
         record(i, rho)
+    integrate_s = time.perf_counter() - start
 
     return TrajectoryRecord(
         times=t_grid.copy(),
@@ -168,6 +182,8 @@ def evolve(L: Liouvillian, rho0, t_grid,
         sector_pair_norms=sector_out,
         final_state=rho,
         states=states,
+        rhs_evals=rhs_evals,
+        integrate_s=integrate_s,
     )
 
 

@@ -13,6 +13,7 @@ state of the composite space is ``|q_0> x |q_1> x ...`` with flat index
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -174,12 +175,16 @@ def _destroy_matrix(dim: int) -> np.ndarray:
     return a
 
 
+@cache
 def mk_destroy(spec: SubsystemSpec) -> Operator:
     """Annihilation operator of a single oscillator factor.
 
     Returns ``a`` with ``a|n> = sqrt(n)|n-1>`` on the one-factor space of
     ``spec``.  The truncated commutator ``[a, a^dag]`` equals the identity
     except in the top Fock level, which is the usual price of truncation.
+    Cached per spec, like ``mk_spin_ops`` and ``mk_number``: specs are
+    frozen and an operator's entries read-only, so every model build
+    shares one object per factor.
     """
     if spec.kind != OSCILLATOR:
         raise ValueError("mk_destroy needs an oscillator spec")
@@ -187,6 +192,7 @@ def mk_destroy(spec: SubsystemSpec) -> Operator:
     return Operator(sp, _destroy_matrix(spec.dim))
 
 
+@cache
 def mk_spin_ops(spec: SubsystemSpec) -> tuple[Operator, Operator, Operator]:
     """Lowering, raising and z operators of a spin factor.
 
@@ -201,6 +207,7 @@ def mk_spin_ops(spec: SubsystemSpec) -> tuple[Operator, Operator, Operator]:
     return Operator(sp, sm), Operator(sp, sm.conj().T), Operator(sp, sz)
 
 
+@cache
 def mk_number(spec: SubsystemSpec) -> Operator:
     """Number operator ``a^dag a`` of an oscillator factor."""
     a = mk_destroy(spec)

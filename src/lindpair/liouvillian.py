@@ -11,7 +11,10 @@ read-only CSR matrix and cached on the generator: ``apply`` is one
 sparse matvec with ``S``, the Heisenberg-picture adjoint one with
 ``S^dag`` (cached on its first call), and :func:`sparse_superoperator`
 hands the same ``S`` to the steady-state solve, spectra and sector
-restrictions.
+restrictions.  The matvec calls SciPy's compiled CSR kernel
+(``csr_matvec``) directly, the kernel ``S @ v`` ends in, so its result
+is bitwise SciPy's product; it skips the operator dispatch, which at
+the sizes a trajectory runs (d=4-30) cost as much as the product.
 
 ``S`` is written as one list of (row, column, value) triplets, the
 outer products of the nonzeros of each kron factor, in a single
@@ -32,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .hilbert import Operator, SpaceSpec
 
@@ -135,10 +139,22 @@ class Liouvillian:
         return self._S.conj().T.tocsr()
 
     def _matvec(self, S: sp.csr_matrix, X) -> np.ndarray:
+        """``S vec(X)`` unstacked, through SciPy's compiled CSR kernel.
+
+        ``S @ v`` runs the same kernel, on a zeroed output it accumulates
+        into, so the result is bitwise SciPy's product; called directly
+        it skips ~3 us of operator dispatch, which at d=4 cost more than
+        the product (2.6 us against 5.5 us per apply, 12.6 against
+        18.2 us at d=30, unchanged at d=144; 2 cores, one BLAS thread).
+        """
         if X.shape != self._shape:
             raise ValueError(
                 f"expected a {self._shape} matrix, got {X.shape}")
-        return (S @ X.reshape(-1, order="F")).reshape(self._shape, order="F")
+        n = S.shape[0]
+        x = np.asarray(X, dtype=complex).reshape(-1, order="F")
+        out = np.zeros(n, dtype=complex)
+        csr_matvec(n, n, S.indptr, S.indices, S.data, x, out)
+        return out.reshape(self._shape, order="F")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) for a dense ``(d, d)`` matrix: one matvec with ``S``."""

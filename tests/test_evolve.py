@@ -86,6 +86,30 @@ def test_apply_inputs_are_column_major(monkeypatch):
     assert seen and all(seen)
 
 
+def test_record_counts_rhs_evals(monkeypatch):
+    # the benchmark's hand-count config: two spins on three samples
+    bm = build_model(dict(model="two_spins", omega=1.0, gamma_A=1.0,
+                          gamma_B=1.0, s_A=0.8, s_B=0.6, Omega=1.0))
+    psi = np.kron(np.array([1.0, 1.0]) / np.sqrt(2.0), np.array([1.0, 0.0]))
+    rho0 = np.outer(psi, psi).astype(complex)
+    calls = 0
+    apply = bm.L.apply
+
+    def counting(X):
+        nonlocal calls
+        calls += 1
+        return apply(X)
+
+    monkeypatch.setattr(bm.L, "apply", counting)
+    rec = evolve(bm.L, rho0, np.linspace(0.0, 1.0, 3),
+                 distance_target=bm.analytic_A_steady)
+    assert calls > 0 and rec.rhs_evals == calls
+    assert rec.integrate_s > 0.0
+    # a single sample integrates nothing
+    rec = evolve(bm.L, rho0, [0.0])
+    assert rec.rhs_evals == 0
+
+
 def test_contraction_in_trace_norm():
     sp, L = _damped_oscillator(8, 1.0, 0.1)
     rng = np.random.default_rng(4)

@@ -182,16 +182,35 @@ def test_apply_rejects_wrong_shapes():
 
 
 def test_apply_ignores_memory_layout():
-    L, rng = _random_model(8)
-    d = L.dim
-    X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    big = np.zeros((2 * d, 3 * d), dtype=complex)
-    big[::2, ::3] = X
-    for fn in (L.apply, L.adjoint_apply):
-        for state in (X.T, np.asfortranarray(X), big[::2, ::3]):
-            want = fn(np.ascontiguousarray(state))
-            assert np.abs(fn(state) - want).max() <= \
-                1e-15 * np.abs(want).max()
+    # apply calls SciPy's CSR kernel directly; whatever the layout or
+    # dtype of the input, it must give SciPy's own S @ vec(X), bitwise,
+    # in a new array, and leave the shared S read-only
+    rng = np.random.default_rng(8)
+    models = [_random_model(8)[0]] + [build_model(ModelConfig(**c)).L
+                                      for c in _LAYOUT_CONFIGS.values()]
+    for L in models:
+        d = L.dim
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        big = np.zeros((2 * d, 3 * d), dtype=complex)
+        big[::2, ::3] = X
+        # rows of a column-major array: its F-order flattening is a
+        # strided 1-d view rather than a copy
+        tall = np.zeros((2 * d, d), dtype=complex, order="F")
+        tall[::2] = X
+        inputs = (np.asfortranarray(X), np.ascontiguousarray(X), X.T,
+                  big[::2, ::3], tall[::2], X.real.copy(),
+                  X.astype(np.complex64))
+        S = sparse_superoperator(L)
+        for fn, M in ((L.apply, S), (L.adjoint_apply, S.conj().T)):
+            for state in inputs:
+                want = (M @ state.reshape(-1, order="F")).reshape(
+                    d, d, order="F")
+                got = fn(state)
+                assert got.dtype == complex
+                assert np.array_equal(got, want)
+                assert not np.shares_memory(got, state)
+        assert not any(a.flags.writeable
+                       for a in (S.data, S.indices, S.indptr))
 
 
 def test_superoperator_is_shared_and_read_only():

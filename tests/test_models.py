@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from lindpair import hilbert as hb
 from lindpair.evolve import trace_norm
 from lindpair.hilbert import mk_destroy, mk_number, mk_spin_ops, partial_trace
 from lindpair.liouvillian import sparse_superoperator
@@ -231,6 +232,31 @@ def test_build_entries_equal_numpy_kron_bitwise(c, fields):
     for t, J in zip(bm.L.terms, jumps, strict=True):
         assert t.jump_op.entries.tobytes() == \
             np.ascontiguousarray(J).tobytes()
+
+
+@pytest.mark.parametrize("c", [c for c, _ in _CI_CONFIGS],
+                         ids=[c["model"] for c, _ in _CI_CONFIGS])
+def test_builds_share_factor_operators(c, monkeypatch):
+    # the factor operators are cached per spec, so a second build embeds
+    # the very objects of the first, and assembles the same S bit for bit
+    embedded = []
+    embed = hb.embed
+
+    def recording_embed(op, i, target):
+        embedded.append(op)
+        return embed(op, i, target)
+
+    monkeypatch.setattr(hb, "embed", recording_embed)
+    first = build_model(c)
+    n = len(embedded)
+    second = build_model(c)
+    assert n > 0 and len(embedded) == 2 * n
+    assert all(a is b for a, b in zip(embedded[:n], embedded[n:]))
+    assert not any(op.entries.flags.writeable for op in embedded)
+    S1, S2 = (sparse_superoperator(bm.L) for bm in (first, second))
+    assert S1 is not S2
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(S1, name), getattr(S2, name))
 
 
 def test_interaction_preserves_a_marginal():
