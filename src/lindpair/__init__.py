@@ -19,9 +19,8 @@ from .spectral import (
 )
 from .sectors import (
     ExcitationStructure, build_excitation_structure,
-    excitation_commutator, project_sector, project_sector_pair,
-    sector_pair_mask, sector_decay_rate, check_decay_bound,
-    trotter_compare,
+    excitation_commutator, project_sector, sector_pair_mask,
+    sector_decay_rate, check_decay_bound, trotter_compare,
 )
 from .steady import (
     SteadyReport, DampingRecurrence,

@@ -134,10 +134,7 @@ def cmd_steady(args) -> int:
             m = build_model(c)
             r = model_steady(m)
             red = hb.partial_trace(r.rho_st, m.b_factors).entries
-            nb = hb.mk_number(m.L.space.factors[1]).entries \
-                if m.L.space.factors[1].kind == hb.OSCILLATOR else None
-            if nb is None:
-                return {"pop_B": float(red[1, 1].real)}
+            nb = hb.mk_number(m.L.space.factors[1]).entries
             return {"n_B": float(np.trace(nb @ red).real)}
         summary["truncation_shift"] = certify_truncation(cfg, extractor)
     path = out / "steady_summary.json"
@@ -201,8 +198,7 @@ def cmd_verify(args) -> int:
         - bm.L.apply(excitation_commutator(bm.es, rho))
     add("excitation_commutation",
         np.abs(comm).max() / max(np.abs(Lr).max(), 1e-300), 1e-10)
-    v = bm.es.composite_excitation(d)
-    ls = np.unique(v[:, None] - v[None, :])
+    ls = np.unique(bm.es.difference((d, d)))
     acc = np.zeros_like(rho)
     for l in ls:
         P = project_sector(bm.es, rho, int(l))

@@ -39,6 +39,9 @@ HERM_BRANCH_TOL = 1e-8
 # Trace drift that aborts an evolution.
 TRACE_ABORT = 1e-6
 
+# Levels certify_truncation adds to every oscillator truncation.
+ENLARGE = 5
+
 
 def trace_norm(X) -> float:
     """Trace norm ``Tr sqrt(X^dag X)``.
@@ -187,13 +190,12 @@ def evolve(L: Liouvillian, rho0, t_grid,
     )
 
 
-def certify_truncation(cfg, quantity_extractor: Callable[[object], object],
-                       enlarge: int = 5) -> float:
+def certify_truncation(cfg, quantity_extractor: Callable) -> float:
     """Re-run a quantity at enlarged oscillator truncation.
 
     ``quantity_extractor(cfg)`` must return a float or a mapping of
     floats.  Every oscillator truncation in ``cfg`` is raised by
-    ``enlarge`` and the largest relative change is returned; values
+    ``ENLARGE`` and the largest relative change is returned; values
     below 1e-6 are considered converged.  Configurations without an
     oscillator return 0.0.
     """
@@ -201,9 +203,9 @@ def certify_truncation(cfg, quantity_extractor: Callable[[object], object],
     if trunc is None:
         return 0.0
     if isinstance(trunc, int):
-        bumped = trunc + enlarge
+        bumped = trunc + ENLARGE
     else:
-        bumped = tuple(int(n) + enlarge for n in trunc)
+        bumped = tuple(int(n) + ENLARGE for n in trunc)
     base = quantity_extractor(cfg)
     wide = quantity_extractor(dataclasses.replace(cfg, n_trunc=bumped))
     if not isinstance(base, Mapping):

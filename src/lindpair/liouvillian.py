@@ -8,13 +8,16 @@ A generator is stored as a hamiltonian plus weighted jump operators,
 Its superoperator ``S`` (column-stacking convention,
 ``A rho B -> kron(B^T, A) vec(rho)``) is assembled on first use as one
 read-only CSR matrix and cached on the generator: ``apply`` is one
-sparse matvec with ``S``, the Heisenberg-picture adjoint one with
-``S^dag`` (cached on its first call), and :func:`sparse_superoperator`
-hands the same ``S`` to the steady-state solve, spectra and sector
-restrictions.  The matvec calls SciPy's compiled CSR kernel
-(``csr_matvec``) directly, the kernel ``S @ v`` ends in, so its result
-is bitwise SciPy's product; it skips the operator dispatch, which at
-the sizes a trajectory runs (d=4-30) cost as much as the product.
+sparse matvec with ``S``, and :func:`sparse_superoperator` hands the
+same ``S`` to the steady-state solve, spectra and sector restrictions.
+The matvec calls SciPy's compiled CSR kernel (``csr_matvec``) directly,
+the kernel ``S @ v`` ends in, so its result is bitwise SciPy's product;
+it skips the operator dispatch, which at the sizes a trajectory runs
+(d=4-30) cost as much as the product.  The adjoint reads the same
+arrays, which are the CSC arrays of ``S^T``: ``S^dag x`` is
+``conj(S^T conj(x))``, one call of SciPy's CSC kernel.  Every block of
+``S``, the steady solve's and the sector checks', is read by
+:func:`block_triplets`.
 
 ``S`` is written as one list of (row, column, value) triplets, the
 outer products of the nonzeros of each kron factor, in a single
@@ -35,13 +38,14 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
 from .hilbert import Operator, SpaceSpec
 
 __all__ = [
     "LindbladTerm",
     "Liouvillian",
+    "block_triplets",
     "sparse_superoperator",
     "trace_row_indices",
 ]
@@ -134,35 +138,38 @@ class Liouvillian:
             a.flags.writeable = False
         return S
 
-    @cached_property
-    def _S_dag(self) -> sp.csr_matrix:
-        return self._S.conj().T.tocsr()
+    def _matvec(self, X, adjoint: bool) -> np.ndarray:
+        """``S vec(X)`` (or ``S^dag vec(X)``) unstacked, by SciPy's kernels.
 
-    def _matvec(self, S: sp.csr_matrix, X) -> np.ndarray:
-        """``S vec(X)`` unstacked, through SciPy's compiled CSR kernel.
-
-        ``S @ v`` runs the same kernel, on a zeroed output it accumulates
+        ``S @ v`` runs ``csr_matvec`` on a zeroed output it accumulates
         into, so the result is bitwise SciPy's product; called directly
         it skips ~3 us of operator dispatch, which at d=4 cost more than
         the product (2.6 us against 5.5 us per apply, 12.6 against
         18.2 us at d=30, unchanged at d=144; 2 cores, one BLAS thread).
+        The adjoint conjugates around ``csc_matvec`` on ``S``'s arrays;
+        conjugation is exact, so it is bitwise ``S.conj().T @ v``.
         """
         if X.shape != self._shape:
             raise ValueError(
                 f"expected a {self._shape} matrix, got {X.shape}")
+        S = self._S
         n = S.shape[0]
         x = np.asarray(X, dtype=complex).reshape(-1, order="F")
         out = np.zeros(n, dtype=complex)
-        csr_matvec(n, n, S.indptr, S.indices, S.data, x, out)
+        if adjoint:
+            csc_matvec(n, n, S.indptr, S.indices, S.data, x.conj(), out)
+            np.conjugate(out, out=out)
+        else:
+            csr_matvec(n, n, S.indptr, S.indices, S.data, x, out)
         return out.reshape(self._shape, order="F")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """L(rho) for a dense ``(d, d)`` matrix: one matvec with ``S``."""
-        return self._matvec(self._S, rho)
+        return self._matvec(rho, adjoint=False)
 
     def adjoint_apply(self, X: np.ndarray) -> np.ndarray:
         """Heisenberg-picture generator acting on an observable."""
-        return self._matvec(self._S_dag, X)
+        return self._matvec(X, adjoint=True)
 
 
 def _nonzeros(M: np.ndarray):
@@ -213,6 +220,26 @@ def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:
     so its arrays are not writeable.
     """
     return L._S
+
+
+def block_triplets(S: sp.csr_matrix, block: np.ndarray):
+    """The rows ``block`` of ``S`` as row-major triplets in block
+    coordinates, gathered off the CSR arrays with no sliced copy.
+
+    Returns the rows, the columns, the positions ``at`` of the values
+    in ``S.data`` and the map from vec index to block position, -1
+    outside the block; so the block is closed under ``S`` exactly when
+    no column is negative.
+    """
+    n = block.size
+    first = S.indptr[block]
+    count = S.indptr[block + 1] - first
+    row = np.repeat(np.arange(n, dtype=np.int32), count)
+    at = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count),
+                                         count)
+    local = np.full(S.shape[0], -1, dtype=np.int32)
+    local[block] = np.arange(n, dtype=np.int32)
+    return row, local[S.indices[at]], at, local
 
 
 def trace_row_indices(d: int) -> np.ndarray:

@@ -8,10 +8,11 @@ row and column excitation; the generator of the coupled pair commutes
 with this splitting, each sector relaxes on its own, and every l != 0
 sector dies out at a rate set by the A-side damping alone.
 
-The decay bound is checked on that structure: the requested +l sectors
-are one closed block of the cached superoperator, propagated exactly
-with ``expm_multiply``, and each +-l pair of the hermitian state is
-rebuilt from its +l half.
+The decay bound and the split propagation are checked on that
+structure: the requested +l sectors are one block of the cached
+superoperator, rejected unless closed.  The decay bound propagates it
+exactly with ``expm_multiply``, rebuilding each +-l pair of the
+hermitian state from its +l half.
 
 All sector operations work on the flat composite index with system A as
 the leading tensor factors; the B dimension is inferred from the state.
@@ -24,18 +25,18 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .evolve import HERM_BRANCH_TOL, trace_norm
 from .hilbert import Operator, SpaceSpec, OSCILLATOR, SPIN
-from .liouvillian import Liouvillian, sparse_superoperator
+from .liouvillian import Liouvillian, block_triplets, sparse_superoperator
 
 __all__ = [
     "ExcitationStructure",
     "build_excitation_structure",
     "excitation_commutator",
     "project_sector",
-    "project_sector_pair",
     "sector_pair_mask",
     "sector_vec_indices",
     "sector_decay_rate",
@@ -68,6 +69,15 @@ class ExcitationStructure:
             raise ValueError("total dimension not divisible by A dimension")
         return np.repeat(self.exc, total_dim // dA)
 
+    def difference(self, shape: tuple) -> np.ndarray:
+        """The table ``v_i - v_j`` of row minus column excitation for a
+        composite state of ``shape``; its sectors are its level sets."""
+        d = shape[0]
+        if tuple(shape) != (d, d):
+            raise ValueError("state must be a square matrix")
+        v = self.composite_excitation(d)
+        return v[:, None] - v[None, :]
+
     @property
     def max_excitation(self) -> int:
         return int(self.exc.max())
@@ -95,41 +105,21 @@ def build_excitation_structure(spaceA: SpaceSpec) -> ExcitationStructure:
     return ExcitationStructure(spaceA, exc)
 
 
-def _composite_exc(es: ExcitationStructure, rho: np.ndarray) -> np.ndarray:
-    d = rho.shape[0]
-    if rho.shape != (d, d):
-        raise ValueError("state must be a square matrix")
-    return es.composite_excitation(d)
-
-
 def excitation_commutator(es: ExcitationStructure, rho) -> np.ndarray:
     """Commutator ``[VA x 1, rho]`` on the composite space.
 
-    VA is diagonal, so the commutator is a row/column scaling; a block
-    with excitation difference l is an eigenvector with eigenvalue l.
+    VA is diagonal, so the commutator scales each entry by its
+    excitation difference; a block with difference l is an eigenvector
+    with eigenvalue l.
     """
     rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    v = _composite_exc(es, rho)
-    return v[:, None] * rho - rho * v[None, :]
+    return es.difference(rho.shape) * rho
 
 
 def project_sector(es: ExcitationStructure, rho, l: int) -> np.ndarray:
     """Keep only blocks with row excitation minus column excitation = l."""
     rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    v = _composite_exc(es, rho)
-    mask = (v[:, None] - v[None, :]) == l
-    return np.where(mask, rho, 0.0)
-
-
-def project_sector_pair(es: ExcitationStructure, rho, l: int) -> np.ndarray:
-    """Keep the +-l sector pair (l >= 1); maps hermitian to hermitian."""
-    if l < 1:
-        raise ValueError("sector pair projector needs l >= 1")
-    rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    d = rho.shape[0]
-    if rho.shape != (d, d):
-        raise ValueError("state must be a square matrix")
-    return np.where(sector_pair_mask(es, d, l), rho, 0.0)
+    return np.where(es.difference(rho.shape) == l, rho, 0.0)
 
 
 def sector_pair_mask(es: ExcitationStructure, total_dim: int,
@@ -137,17 +127,14 @@ def sector_pair_mask(es: ExcitationStructure, total_dim: int,
     """Boolean entry mask of the +-l sector pair (l >= 0) at a total dim."""
     if l < 0:
         raise ValueError(f"sector pair needs l >= 0, got l={l}")
-    v = es.composite_excitation(total_dim)
-    return np.abs(v[:, None] - v[None, :]) == l
+    return np.abs(es.difference((total_dim, total_dim))) == l
 
 
 def sector_vec_indices(es: ExcitationStructure, total_dim: int,
                        l: int) -> np.ndarray:
     """Column-stacked vec indices of sector l (row exc - col exc = l)."""
-    v = es.composite_excitation(total_dim)
-    diff = v[:, None] - v[None, :]
     # vec index of entry (i, j) in column-major stacking is i + j*d
-    ii, jj = np.nonzero(diff == l)
+    ii, jj = np.nonzero(es.difference((total_dim, total_dim)) == l)
     return ii + jj * total_dim
 
 
@@ -199,6 +186,27 @@ def _eligible_ls(model) -> list:
     return [l for l in range(1, es.max_excitation + 1) if l <= cap]
 
 
+def _closed_block(L: Liouvillian, es: ExcitationStructure, ls) -> tuple:
+    """The vec indices of each sector in ``ls``, their concatenation and
+    the block of ``S`` they span, as CSR in block coordinates.
+
+    The block must be closed: a row reaching outside it raises a
+    RuntimeError naming the first sector that leaks.
+    """
+    idx = [sector_vec_indices(es, L.dim, l) for l in ls]
+    block = np.concatenate([np.zeros(0, dtype=int)] + idx)
+    S = sparse_superoperator(L)
+    row, col, at, _ = block_triplets(S, block)
+    leak = col < 0
+    if np.any(leak):
+        l = np.repeat(ls, [i.size for i in idx])[row[np.argmax(leak)]]
+        raise RuntimeError(
+            f"sector {l} is not closed under the generator: its rows of the "
+            "superoperator reach outside the requested sectors")
+    return idx, block, sp.csr_matrix((S.data[at], (row, col)),
+                                     shape=(block.size, block.size))
+
+
 def _pair_norm(d: int, idx: np.ndarray, x: np.ndarray) -> float:
     """Trace norm of the +-l pair rebuilt from its +l entries as Y + Y^dag."""
     Y = np.zeros(d * d, dtype=complex)
@@ -213,13 +221,14 @@ def check_decay_bound(model, rho0, t_grid,
     """Verify ``|Q_l rho(t)|_1 <= e^{eta_l t} |Q_l rho(0)|_1`` on a grid.
 
     Only the requested sectors are propagated.  Their +l vec indices
-    pick a square block out of the cached superoperator ``S``; the block
-    must be closed (its rows of ``S`` hold no entry outside it), or a
-    RuntimeError names the first sector that leaks, so a generator that
-    does not commute with the A excitation cannot pass.  The block's
-    sub-vector is propagated exactly, one ``expm_multiply`` per sample
-    interval.  For a hermitian state sector -l is the adjoint of sector
-    +l, so each pair is rebuilt as ``Y + Y^dag`` for its trace norm.
+    pick a square block out of the cached superoperator ``S``
+    (``block_triplets``); it must be closed (its rows of ``S`` hold no
+    entry outside it), or a RuntimeError names the first sector that
+    leaks, so a generator that does not commute with the A excitation
+    cannot pass.  The block's sub-vector is propagated exactly, one
+    ``expm_multiply`` per sample interval.  For a hermitian state sector
+    -l is the adjoint of sector +l, so each pair is rebuilt as
+    ``Y + Y^dag`` for its trace norm.
 
     Sectors touching the truncated top of an oscillator ladder are
     excluded by default (l above N_trunc - 2 per oscillator factor),
@@ -258,17 +267,8 @@ def check_decay_bound(model, rho0, t_grid,
     for l in ls:
         if l < 1:
             raise ValueError(f"the decay bound needs sectors l >= 1, got l={l}")
-    idx = [sector_vec_indices(es, d, l) for l in ls]
+    idx, block, M = _closed_block(L, es, ls)
     sizes = [i.size for i in idx]
-    block = np.concatenate([np.zeros(0, dtype=int)] + idx)
-    rows = sparse_superoperator(L)[block]
-    M = rows[:, block]
-    leak = np.diff(rows.indptr) != np.diff(M.indptr)
-    if np.any(leak):
-        l = np.repeat(ls, sizes)[np.argmax(leak)]
-        raise RuntimeError(
-            f"sector {l} is not closed under the generator: its rows of the "
-            "superoperator reach outside the requested sectors")
     x = rho0.reshape(-1, order="F")[block]
     cuts = np.cumsum(sizes)[:-1]
     norms = np.empty((len(ls), times.size))
@@ -305,9 +305,8 @@ class TrotterReport:
 
 def sector_generator_matrix(L: Liouvillian, es: ExcitationStructure,
                             l: int) -> np.ndarray:
-    """Dense superoperator of L restricted to sector l (vec indices)."""
-    idx = sector_vec_indices(es, L.dim, l)
-    return sparse_superoperator(L)[idx][:, idx].toarray()
+    """Dense superoperator of L on sector l (vec indices), if closed."""
+    return _closed_block(L, es, [l])[2].toarray()
 
 
 def trotter_compare(model, l: int, t: float,
@@ -316,9 +315,12 @@ def trotter_compare(model, l: int, t: float,
 
     Splits the sector-l generator into the A-damping part and the rest,
     and measures ``max-norm((e^{A t/N} e^{rest t/N})^N - e^{full t})``
-    for each N.  The fitted order is the log-slope between the last two
-    N values (None when the split commutes and errors sit at the noise
-    floor).  Matrix exponentials use scaling-and-squaring.
+    for each N.  Both parts are read by ``sector_generator_matrix``: a
+    sector that is not closed raises the decay bound's RuntimeError,
+    naming it, instead of reporting a split.  The fitted order is the
+    log-slope between the last two N values (None when the split
+    commutes and errors sit at the noise floor).  Matrix exponentials
+    use scaling-and-squaring.
     """
     L: Liouvillian = model.L
     es: ExcitationStructure = model.es

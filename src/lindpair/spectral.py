@@ -33,7 +33,7 @@ larger ``dim`` to be meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import numpy as np
 
@@ -108,17 +108,9 @@ def spin_eigensystem(gamma: float, mbar: float) -> SpinEigensystem:
     return SpinEigensystem(gamma, mbar, eigenvalues, right, left)
 
 
-def _falling(q: int, j: int) -> float:
-    # q! / (q-j)! as a float; j stays <= MAX_POLY_ORDER so this is exact
-    out = 1.0
-    for i in range(j):
-        out *= q - i
-    return out
-
-
 def normal_ordered_fock_matrix(coeff_poly, z: float, power_left: int,
-                               power_right: int, dim: int) -> np.ndarray:
-    """Fock matrix of ``adag^pl [sum_j c_j adag^j (1-z)^N a^j] a^pr``.
+                               dim: int) -> np.ndarray:
+    """Fock matrix of ``adag^pl [sum_j c_j adag^j (1-z)^N a^j]``.
 
     Parameters
     ----------
@@ -128,16 +120,15 @@ def normal_ordered_fock_matrix(coeff_poly, z: float, power_left: int,
         Weight parameter in [0, 1]; the diagonal entry at Fock level q is
         ``sum_j c_j q!/(q-j)! (1-z)^(q-j)`` with the convention that the
         power factor is 1 when q == j (covers z = 1).
-    power_left, power_right : int
-        Extra raising (left) and lowering (right) powers applied outside
-        the normal-ordered sum.
+    power_left : int
+        Extra raising power applied left of the normal-ordered sum.
     dim : int
         Fock truncation.
     """
     if not 0.0 <= z <= 1.0:
         raise ValueError("z must lie in [0, 1]")
-    if power_left < 0 or power_right < 0:
-        raise ValueError("powers must be nonnegative")
+    if power_left < 0:
+        raise ValueError("power_left must be nonnegative")
     if len(coeff_poly) - 1 > MAX_POLY_ORDER:
         raise ValueError(f"polynomial order limited to {MAX_POLY_ORDER}")
     x = 1.0 - z
@@ -148,15 +139,14 @@ def normal_ordered_fock_matrix(coeff_poly, z: float, power_left: int,
             if j > q or c == 0:
                 continue
             power = 1.0 if q == j else x ** (q - j)
-            acc += c * _falling(q, j) * power
+            # q! / (q-j)!, rounded once
+            acc += c * float(perm(q, j)) * power
         diag[q] = acc
     out = np.diag(diag)
-    if power_left or power_right:
+    if power_left:
         adag = mk_destroy(oscillator(dim)).entries.conj().T
         for _ in range(power_left):
             out = adag @ out
-        for _ in range(power_right):
-            out = out @ adag.conj().T
     return out
 
 
@@ -302,10 +292,10 @@ def osc_eigensystem(gamma: float, nbar: float, n_max: int, k_range: int,
         for k in range(k_range + 1):
             pref_r = (-1) ** n / (nbar + 1.0) ** (k + 1)
             R = pref_r * normal_ordered_fock_matrix(
-                _right_coeffs(n, k, z), z, k, 0, dim)
+                _right_coeffs(n, k, z), z, k, dim)
             pref_l = factorial(n) / ((nbar + 1.0) ** n * factorial(n + k))
             C = pref_l * normal_ordered_fock_matrix(
-                _left_coeffs(n, k, nbar), 0.0, k, 0, dim)
+                _left_coeffs(n, k, nbar), 0.0, k, dim)
             rights[(n, k)] = R
             lefts[(n, k)] = C
             if k > 0:

@@ -63,7 +63,8 @@ import scipy.sparse.linalg as spla
 
 from .evolve import blockwise_trace_norm, trace_norm
 from .hilbert import Operator
-from .liouvillian import Liouvillian, sparse_superoperator, trace_row_indices
+from .liouvillian import (Liouvillian, block_triplets, sparse_superoperator,
+                          trace_row_indices)
 
 __all__ = [
     "SteadyReport",
@@ -245,28 +246,6 @@ def _dissection_order(block: np.ndarray, dims: tuple) -> np.ndarray:
     return np.concatenate([rest[perm], block[:1]])
 
 
-def _block_triplets(S: sp.csr_matrix, block: np.ndarray):
-    """The block of ``S`` as row-major triplets in block coordinates.
-
-    A weakly connected component is closed under the pattern of ``S``:
-    the rows of the block hold no column outside it.  So the block is
-    read straight off the CSR arrays, its rows gathered by index
-    arithmetic and its columns renumbered, with no sliced copy of
-    ``S``.  Returns the rows, the columns, the positions ``at`` of the
-    values in ``S.data`` and the map from vec index to block position
-    (-1 outside the block).
-    """
-    n = block.size
-    first = S.indptr[block]
-    count = S.indptr[block + 1] - first
-    row = np.repeat(np.arange(n, dtype=np.int32), count)
-    at = np.arange(row.size) + np.repeat(first - (np.cumsum(count) - count),
-                                         count)
-    local = np.full(S.shape[0], -1, dtype=np.int32)
-    local[block] = np.arange(n, dtype=np.int32)
-    return row, local[S.indices[at]], at, local
-
-
 @dataclass(frozen=True, eq=False)
 class _Analysis:
     """The symbolic part of a steady solve, set by the pattern of ``S``.
@@ -349,18 +328,19 @@ def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
 
     The block is found and ordered (``_trace_block``,
     ``_dissection_order``) and read off the CSR arrays
-    (``_block_triplets``).  Its last row, the first diagonal's, gives
-    way to the trace row, and the triplets are laid out in CSC order: a
-    stable sort by column keeps each column's rows ascending, so the
-    arrays are canonical and equal to those of the COO -> CSC
-    conversion.  The state's diagonal blocks come from ``_parts``.
-    Every array is read-only.
+    (``block_triplets``); a connected component of the pattern is
+    closed, so no column falls outside.  Its last row, the first
+    diagonal's, gives way to the trace row, and the triplets are laid
+    out in CSC order: a stable sort by column keeps each column's rows
+    ascending, so the arrays are canonical and equal to those of the
+    COO -> CSC conversion.  The state's diagonal blocks come from
+    ``_parts``.  Every array is read-only.
     """
     d = prod(dims)
     block, degenerate = _trace_block(S, d)
     block = _dissection_order(block, dims)
     n = block.size
-    row, col, at, local = _block_triplets(S, block)
+    row, col, at, local = block_triplets(S, block)
     t = local[trace_row_indices(d)]
     t = t[t >= 0]
     lo = np.searchsorted(row, n - 1)
@@ -473,8 +453,9 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     solution.  A steady-state space of dimension above one is flagged,
     with a RuntimeWarning, when the search from the first diagonal
     index misses another, or the factorisation is exactly singular;
-    one solution is still returned, by least squares with the trace row
-    weighted at the block's largest entry.  The state is hermitized,
+    one solution is still returned, by least squares (``lsqr``) on the
+    same trace-augmented system, its trace row and right-hand side
+    reweighted to the block's largest entry.  The state is hermitized,
     and eigenvalues in [-1e-8, 0) are clipped to zero with
     renormalization; anything more negative aborts.  Those eigenvalues,
     the clip and the residual are taken on the state's diagonal blocks
@@ -505,20 +486,14 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
                        options=dict(SymmetricMode=True))
         x, fill = lu.solve(b), lu.nnz
     except RuntimeError:
-        # exactly singular: a second steady state inside the block;
-        # least squares on the whole block with the trace row appended,
-        # weighted to the block's own size
+        # exactly singular: a second steady state inside the block; least
+        # squares on the same system, its trace row weighted to the
+        # block's own size.  No equation is lost: trace preservation
+        # makes the replaced row minus the sum of the other diagonal rows
         degenerate = True
-        row, col, at, local = _block_triplets(S, block)
-        t = local[trace_row_indices(d)]
-        t = t[t >= 0]
-        w = max(1.0, np.abs(S.data[at]).max())
-        stacked = sp.csr_matrix(
-            (np.concatenate([S.data[at], np.full(t.size, w, dtype=complex)]),
-             (np.concatenate([row, np.full(t.size, n)]),
-              np.concatenate([col, t]))), shape=(n + 1, n))
-        x = spla.lsqr(stacked, np.append(np.zeros(n, dtype=complex), w),
-                      atol=1e-12, btol=1e-12)[0]
+        A.data[A.indices == n - 1] = b[-1] = max(
+            1.0, np.abs(S.data[an.at]).max())
+        x = spla.lsqr(A, b, atol=1e-12, btol=1e-12)[0]
         fill = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x

@@ -12,10 +12,9 @@ from lindpair.liouvillian import (Liouvillian, LindbladTerm,
 from lindpair.models import ModelConfig, build_model
 from lindpair.sectors import (build_excitation_structure,
                               check_decay_bound, excitation_commutator,
-                              project_sector, project_sector_pair,
-                              sector_decay_rate, sector_generator_matrix,
-                              sector_pair_mask, sector_vec_indices,
-                              trotter_compare)
+                              project_sector, sector_decay_rate,
+                              sector_generator_matrix, sector_pair_mask,
+                              sector_vec_indices, trotter_compare)
 
 
 def _models():
@@ -91,10 +90,11 @@ def test_sector_pair_projector_hermitian():
     bm = next(_models())
     rho = _random_state(bm.L.dim, seed=7)
     rho = 0.5 * (rho + rho.conj().T)
-    P = project_sector_pair(bm.es, rho, 1)
+    # the masking cmd_run and evolve apply to the +-1 pair
+    P = np.where(sector_pair_mask(bm.es, bm.L.dim, 1), rho, 0)
     assert np.abs(P - P.conj().T).max() <= 1e-14
-    with pytest.raises(ValueError):
-        project_sector_pair(bm.es, rho, 0)
+    with pytest.raises(ValueError, match="l=-1"):
+        sector_pair_mask(bm.es, bm.L.dim, -1)
 
 
 def test_sector_vec_indices_match_mask():
@@ -291,9 +291,15 @@ def test_decay_bound_matches_full_evolution(cfg, ls):
         assert np.abs(rep.measured[l] - ref).max() <= 1e-8 * ref.max()
 
 
-def test_decay_bound_rejects_non_commuting_generator():
+@pytest.mark.parametrize("check", [
+    lambda model, rho0: check_decay_bound(
+        model, rho0, np.linspace(0.0, 1.0, 5), ls=[1]),
+    lambda model, rho0: trotter_compare(model, 1, 1.0, [2, 4])],
+    ids=["check_decay_bound", "trotter_compare"])
+def test_decay_bound_rejects_non_commuting_generator(check):
     # coupling through A's lowering operator moves weight between
-    # sectors, so sector 1 is no closed block of the generator
+    # sectors, so sector 1 is no closed block of the generator, and
+    # neither check may read it as one
     sp_full = hb.space(hb.spin(), hb.oscillator(4))
     sm, splus, sz = hb.mk_spin_ops(hb.spin())
     b = hb.embed(hb.mk_destroy(hb.oscillator(4)), 1, sp_full)
@@ -303,10 +309,11 @@ def test_decay_bound_rejects_non_commuting_generator():
     L = Liouvillian(sp_full, H, [LindbladTerm(lower, 1.0),
                                  LindbladTerm(b, 1.0)])
     model = SimpleNamespace(L=L, es=build_excitation_structure(
-        hb.space(hb.spin())), a_unit_costs=[(0.5, 1)])
+        hb.space(hb.spin())), a_unit_costs=[(0.5, 1)],
+        a_terms=[LindbladTerm(lower, 1.0)])
     rho0 = _random_state(L.dim, seed=14)
     with pytest.raises(RuntimeError, match="sector 1 is not closed"):
-        check_decay_bound(model, rho0, np.linspace(0.0, 1.0, 5), ls=[1])
+        check(model, rho0)
 
 
 def test_trotter_commuting_split():

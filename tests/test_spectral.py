@@ -60,7 +60,7 @@ def test_normal_ordered_ground_mode_is_thermal():
 
 
 def test_normal_ordered_fock_matrix_shape():
-    out = normal_ordered_fock_matrix([1.0], 0.0, 2, 0, 6)
+    out = normal_ordered_fock_matrix([1.0], 0.0, 2, 6)
     a = hb.mk_destroy(hb.oscillator(6)).entries
     expect = (a.conj().T @ a.conj().T)
     assert np.allclose(out, expect)
