@@ -12,6 +12,7 @@ import numpy as np
 import lindpair.hilbert as hb
 from lindpair import LindbladTerm, Liouvillian, osc_eigensystem, evolve
 from lindpair.evolve import trace_norm
+from lindpair.spectral import TAIL_MARGIN
 from lindpair.steady import thermal_state
 
 
@@ -23,9 +24,9 @@ def damped_oscillator(gamma, nbar, dim):
                         LindbladTerm(b.dagger(), gamma * nbar)])
 
 
-def residual_table(es, L, margin):
+def residual_table(es, L):
     """Worst relative residual per mode, evaluated away from the cut."""
-    sub = slice(0, es.dim - margin)
+    sub = slice(0, es.dim - TAIL_MARGIN)
     rows = []
     for (n, k) in es.pairs():
         lam = es.eigenvalue(n, k)
@@ -53,12 +54,12 @@ def spectral_trajectory(es, rho0, t_grid, n_use):
 
 
 def main():
-    gamma, nbar, dim, margin = 1.0, 0.4, 40, 10
+    gamma, nbar, dim = 1.0, 0.4, 40
     n_max, k_range = 12, 2
-    es = osc_eigensystem(gamma, nbar, n_max, k_range, dim, margin=margin)
+    es = osc_eigensystem(gamma, nbar, n_max, k_range, dim)
     L = damped_oscillator(gamma, nbar, dim)
 
-    rows = residual_table(es, L, margin)
+    rows = residual_table(es, L)
     worst = max(r[-1] for r in rows)
     print(f"{len(rows)} modes built, worst relative residual {worst:.2e}")
     print("lowest eigenvalues (n, k, Re lambda):")

@@ -1,4 +1,4 @@
-"""Adaptive RK4 with step doubling, shared by density-matrix and moment ODEs.
+"""Adaptive RK4 with step doubling, the propagator of ``evolve``.
 
 The error estimate compares one full step against two half steps and the
 accepted value keeps the Richardson-extrapolated fifth-order combination.

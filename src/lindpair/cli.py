@@ -293,9 +293,9 @@ def _coherent(alpha: complex, dim: int) -> np.ndarray:
     return v
 
 
-def _fig4(out: Path, t_max: float = 20.0, samples: int = 41,
-          n_trunc: tuple = (12, 12)) -> dict:
-    t_grid = np.linspace(0.0, t_max, samples)
+def _fig4(out: Path) -> dict:
+    n_trunc = (12, 12)
+    t_grid = np.linspace(0.0, 20.0, 41)
     header = ["kappa_t"]
     series = [t_grid]
     final = {}
@@ -317,19 +317,12 @@ def _fig4(out: Path, t_max: float = 20.0, samples: int = 41,
     return final
 
 
+_FIGURES = {1: _fig1, 2: _fig2, 3: _fig3, 4: _fig4}
+
+
 def cmd_figure(args) -> int:
-    out = _outdir(args)
-    n = args.number
-    if n == 1:
-        _fig1(out)
-    elif n == 2:
-        _fig2(out)
-    elif n == 3:
-        _fig3(out)
-    elif n == 4:
-        _fig4(out)
-    else:
-        raise SystemExit(f"no figure {n}")
+    # the parser's choices are the table's keys
+    _FIGURES[args.number](_outdir(args))
     return 0
 
 
@@ -343,10 +336,9 @@ def _parser() -> argparse.ArgumentParser:
                     "decay, spectra, moment closures)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config_required=True):
-        if config_required:
-            sp.add_argument("--config", required=True,
-                            help="model config JSON path")
+    def common(sp):
+        sp.add_argument("--config", required=True,
+                        help="model config JSON path")
         sp.add_argument("--out", default="out", help="output directory")
 
     sp_run = sub.add_parser("run", help="evolve and record a trajectory")
@@ -368,7 +360,7 @@ def _parser() -> argparse.ArgumentParser:
     common(sp_v)
 
     sp_f = sub.add_parser("figure", help="standard parameter studies")
-    sp_f.add_argument("number", type=int, choices=(1, 2, 3, 4))
+    sp_f.add_argument("number", type=int, choices=tuple(_FIGURES))
     sp_f.add_argument("--out", default="out")
     return p
 

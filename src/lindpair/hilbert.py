@@ -133,12 +133,14 @@ class Operator:
     def dim(self) -> int:
         return self.space.total_dim
 
-    def is_hermitian(self, tol: float = TOL_HERM) -> bool:
-        """True when ``|X - X^dag|_max <= tol * |X|_max`` (zero is hermitian)."""
+    def is_hermitian(self) -> bool:
+        """True when ``|X - X^dag|_max <= TOL_HERM |X|_max`` (zero is
+        hermitian)."""
         scale = np.abs(self.entries).max()
         if scale == 0.0:
             return True
-        return np.abs(self.entries - self.entries.conj().T).max() <= tol * scale
+        return (np.abs(self.entries - self.entries.conj().T).max()
+                <= TOL_HERM * scale)
 
     def dagger(self) -> "Operator":
         return Operator(self.space, self.entries.conj().T)

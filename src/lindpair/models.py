@@ -165,8 +165,8 @@ class BuiltModel:
     Besides the generator, the A excitation structure and the A-side
     fixed point, it carries the A-side damping channels (``a_terms``, a
     subset of ``L.terms``, for the sector splitting), the B-side fixed
-    point, the reference rate used to scale times in reports, and the
-    per-factor sector unit costs.
+    point, and A's damping rate as ``reference_rate``: it scales times
+    in reports and sets the sector decay rates ``-|l| r / 2``.
     """
 
     cfg: ModelConfig
@@ -179,7 +179,6 @@ class BuiltModel:
     reference_name: str
     a_factors: tuple[int, ...]
     b_factors: tuple[int, ...]
-    a_unit_costs: tuple
 
 
 def build_model(cfg) -> BuiltModel:
@@ -217,10 +216,8 @@ def build_model(cfg) -> BuiltModel:
                     + getattr(cfg, coupling) * coupling_op)
     L = Liouvillian(sp, H, terms)
     es = build_excitation_structure(hb.space(factors[0]))
-    rate_A = getattr(cfg, a[2])
-    return BuiltModel(cfg, L, es, fixed[0], fixed[1], L.terms[:2], rate_A,
-                      a[2], (0,), (1,),
-                      ((rate_A / 2.0, 1 if a[0] == SPIN else None),))
+    return BuiltModel(cfg, L, es, fixed[0], fixed[1], L.terms[:2],
+                      getattr(cfg, a[2]), a[2], (0,), (1,))
 
 
 def model_steady(bm: BuiltModel) -> SteadyReport:

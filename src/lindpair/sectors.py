@@ -1,12 +1,13 @@
 """Excitation sectors of system A and the decay-bound machinery.
 
-The total excitation operator of system A (number operators plus
-spin-projector terms) has nonnegative integer eigenvalues, so a basis
-index of the A factors carries an exact excitation count.  A composite
-density matrix splits into sectors labelled by the difference l of the
-row and column excitation; the generator of the coupled pair commutes
-with this splitting, each sector relaxes on its own, and every l != 0
-sector dies out at a rate set by the A-side damping alone.
+System A is one tensor factor, a spin or an oscillator, and its
+excitation operator (the excited-state projector or the number
+operator) is diagonal with the eigenvalue k at level k, so a basis
+index of A carries an exact excitation count.  A composite density
+matrix splits into sectors labelled by the difference l of the row and
+column excitation; the generator of the coupled pair commutes with this
+splitting, each sector relaxes on its own, and every l != 0 sector dies
+out at the rate ``eta_l = -|l| r / 2`` set by A's damping rate r alone.
 
 The decay bound and the split propagation are checked on that
 structure: the requested +l sectors are one block of the cached
@@ -15,7 +16,7 @@ exactly with ``expm_multiply``, rebuilding each +-l pair of the
 hermitian state from its +l half.
 
 All sector operations work on the flat composite index with system A as
-the leading tensor factors; the B dimension is inferred from the state.
+the leading tensor factor; the B dimension is inferred from the state.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .evolve import HERM_BRANCH_TOL, trace_norm
-from .hilbert import Operator, SpaceSpec, OSCILLATOR, SPIN
+from .hilbert import Operator, SpaceSpec, SPIN
 from .liouvillian import Liouvillian, block_triplets, sparse_superoperator
 
 __all__ = [
@@ -55,7 +56,7 @@ TOL_BOUND = 1e-6
 class ExcitationStructure:
     """Spectral data of the A-side excitation operator.
 
-    ``space`` covers only the A factors; ``exc`` is the per-index
+    ``space`` is A's one-factor space; ``exc`` is the per-index
     eigenvalue array (the diagonal of the excitation operator).
     """
 
@@ -78,31 +79,19 @@ class ExcitationStructure:
         v = self.composite_excitation(d)
         return v[:, None] - v[None, :]
 
-    @property
-    def max_excitation(self) -> int:
-        return int(self.exc.max())
-
 
 def build_excitation_structure(spaceA: SpaceSpec) -> ExcitationStructure:
-    """Diagonalize the A-side excitation operator by construction.
+    """The excitation operator of A's one factor, diagonal by construction.
 
-    The operator is a sum of embedded number operators (oscillators) and
-    excited-state projectors (spins); it is diagonal in the product
-    basis with integer entries, so sectors come from exact integer
-    comparison, never float thresholds.
+    For a spin it is the excited-state projector, for an oscillator the
+    number operator; level k has excitation k either way, so sectors
+    come from exact integer comparison, never float thresholds.  A
+    space of more or fewer than one factor raises ValueError.
     """
-    counts = []
-    for f in spaceA.factors:
-        if f.kind == OSCILLATOR:
-            counts.append(np.arange(f.dim))
-        elif f.kind == SPIN:
-            counts.append(np.array([0, 1]))
-        else:
-            raise ValueError(f"unsupported factor kind {f.kind!r}")
-    exc = np.zeros(1, dtype=int)
-    for c in counts:
-        exc = (exc[:, None] + c[None, :]).reshape(-1)
-    return ExcitationStructure(spaceA, exc)
+    n = len(spaceA.factors)
+    if n != 1:
+        raise ValueError(f"system A must be one tensor factor, got {n}")
+    return ExcitationStructure(spaceA, np.arange(spaceA.total_dim))
 
 
 def excitation_commutator(es: ExcitationStructure, rho) -> np.ndarray:
@@ -141,30 +130,15 @@ def sector_vec_indices(es: ExcitationStructure, total_dim: int,
 def sector_decay_rate(model, l: int) -> float:
     """Largest real part eta_l of the A damping restricted to sector l.
 
-    For a single spin eta_{+-1} = -gamma_A/2; for a single oscillator
-    eta_l = -kappa*|l|/2.  A composite A side distributes the |l|
-    excitation units over its factors at the cheapest total per-unit
-    cost (spins capped at one unit each), read from the
-    ``model.a_unit_costs`` pairs ``(cost, capacity)`` with capacity None
-    for an oscillator; dense sector spectra confirm the formula in the
-    tests.
+    ``eta_l = -|l| r / 2`` with r A's damping rate,
+    ``model.reference_rate``: -gamma_A/2 for the one coherence sector of
+    a spin, -kappa*|l|/2 for an oscillator.  A spin holds no sector
+    beyond |l| = 1, so asking for one raises ValueError.
     """
     units = abs(int(l))
-    if units == 0:
-        return 0.0
-    pools = model.a_unit_costs
-    unit_costs = []
-    unbounded = [c for c, cap in pools if cap is None]
-    for c, cap in pools:
-        if cap is not None:
-            unit_costs.extend([c] * cap)
-    if unbounded:
-        cheapest = min(unbounded)
-        unit_costs.extend([cheapest] * units)
-    unit_costs.sort()
-    if len(unit_costs) < units:
+    if units > 1 and model.es.space.factors[0].kind == SPIN:
         raise ValueError(f"sector {l} exceeds the A-side excitation range")
-    return -float(sum(unit_costs[:units]))
+    return -units * model.reference_rate / 2.0
 
 
 @dataclass
@@ -179,11 +153,8 @@ class DecayBoundReport:
 
 
 def _eligible_ls(model) -> list:
-    es: ExcitationStructure = model.es
-    cap = 0
-    for f in es.space.factors:
-        cap += 1 if f.kind == SPIN else f.dim - 2
-    return [l for l in range(1, es.max_excitation + 1) if l <= cap]
+    f = model.es.space.factors[0]
+    return list(range(1, 2 if f.kind == SPIN else f.dim - 1))
 
 
 def _closed_block(L: Liouvillian, es: ExcitationStructure, ls) -> tuple:
@@ -231,7 +202,7 @@ def check_decay_bound(model, rho0, t_grid,
     ``Y + Y^dag`` for its trace norm.
 
     Sectors touching the truncated top of an oscillator ladder are
-    excluded by default (l above N_trunc - 2 per oscillator factor),
+    excluded by default (l above N_trunc - 2 for an oscillator A),
     since the cut ladder distorts their rates; a requested sector that
     is empty reports zeros.  A violation beyond the multiplicative slack
     ``tol_bound`` (plus a 1e-12 absolute floor for identically zero

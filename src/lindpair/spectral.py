@@ -25,9 +25,9 @@ Truncation makes the biorthonormality sums Tr(check(n,k)^dag rho(n',k'))
 exact only when the polynomial-times-tail products die out before the
 Fock cutoff.  ``OscEigensystem.gram`` therefore returns, next to the
 Gram matrix, a boolean mask of entries whose truncated summand tail
-(geometric remainder estimate over the last ``margin`` Fock levels) is
-below half the requested tolerance; entries outside the mask need a
-larger ``dim`` to be meaningful.
+(geometric remainder estimate over the last ``TAIL_MARGIN`` Fock levels)
+is below half of ``GRAM_TOL``; entries outside the mask need a larger
+``dim`` to be meaningful.
 """
 
 from __future__ import annotations
@@ -46,12 +46,21 @@ __all__ = [
     "osc_eigensystem",
     "normal_ordered_fock_matrix",
     "MAX_POLY_ORDER",
+    "TAIL_MARGIN",
+    "GRAM_TOL",
 ]
 
 # Binomial coefficient tables stay exact in double precision well past
 # this, but the eigenmatrix entries start mixing magnitudes badly; the
 # oracle refuses larger polynomial orders instead of silently degrading.
 MAX_POLY_ORDER = 20
+
+# Fock levels the truncation must leave above the built modes, and over
+# which the Gram tail estimate extrapolates.
+TAIL_MARGIN = 10
+
+# Gram entries are kept when their truncated tail stays below half this.
+GRAM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -177,7 +186,6 @@ class OscEigensystem:
     n_max: int
     k_range: int
     dim: int
-    margin: int
     _right: dict = field(repr=False)
     _left: dict = field(repr=False)
 
@@ -210,12 +218,13 @@ class OscEigensystem:
             return np.conj(C[qs + kk, qs]) * R[qs + kk, qs]
         return np.conj(C[qs, qs + kk]) * R[qs, qs + kk]
 
-    def gram(self, tol: float = 1e-8):
+    def gram(self):
         """Biorthonormality matrix with a truncation-support mask.
 
         Returns ``(G, keep, labels)``: ``G[i, j] = Tr(left_i^dag
         right_j)`` over ``labels`` (the sorted mode list), and ``keep``
-        flags entries whose truncated tail estimate is below ``tol/2``.
+        flags entries whose truncated tail estimate is below
+        ``GRAM_TOL/2``.
         Off-band pairs (different k) vanish identically and are always
         kept.
         """
@@ -230,29 +239,29 @@ class OscEigensystem:
                     continue
                 s = self.overlap_series(n1, n2, k1)
                 G[i, j] = s.sum()
-                keep[i, j] = _tail_converged(s, self.margin, tol)
+                keep[i, j] = _tail_converged(s)
         return G, keep, labels
 
 
-def _tail_converged(s: np.ndarray, margin: int, tol: float) -> bool:
+def _tail_converged(s: np.ndarray) -> bool:
     # Estimate the neglected remainder by geometric extrapolation of the
-    # last `margin` summand magnitudes; keep the entry when tail plus
-    # remainder stay below half the tolerance.
-    w = np.abs(s[-margin:])
+    # last TAIL_MARGIN summand magnitudes; keep the entry when tail plus
+    # remainder stay below half of GRAM_TOL.
+    w = np.abs(s[-TAIL_MARGIN:])
     total = w.sum()
     if w[-1] == 0.0:
-        return total <= 0.5 * tol
+        return total <= 0.5 * GRAM_TOL
     if w[0] == 0.0:
         return False
-    r = (w[-1] / w[0]) ** (1.0 / (margin - 1))
+    r = (w[-1] / w[0]) ** (1.0 / (TAIL_MARGIN - 1))
     if r >= 1.0:
         return False
     remainder = w[-1] * r / (1.0 - r)
-    return total + remainder <= 0.5 * tol
+    return total + remainder <= 0.5 * GRAM_TOL
 
 
 def osc_eigensystem(gamma: float, nbar: float, n_max: int, k_range: int,
-                    dim: int, margin: int = 10) -> OscEigensystem:
+                    dim: int) -> OscEigensystem:
     """Closed-form eigenmatrices of the thermal damped oscillator.
 
     Parameters
@@ -267,10 +276,8 @@ def osc_eigensystem(gamma: float, nbar: float, n_max: int, k_range: int,
         Polynomial degrees 0..n_max and diagonal offsets
         -k_range..k_range to build; n_max is capped at MAX_POLY_ORDER.
     dim : int
-        Fock truncation; must leave at least ``margin`` levels above
+        Fock truncation; must leave at least ``TAIL_MARGIN`` levels above
         ``n_max + k_range`` so tail estimates have room to settle.
-    margin : int
-        Truncation headroom (>= 10).
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
@@ -280,9 +287,7 @@ def osc_eigensystem(gamma: float, nbar: float, n_max: int, k_range: int,
         raise ValueError(f"n_max must lie in [0, {MAX_POLY_ORDER}]")
     if k_range < 0:
         raise ValueError("k_range must be nonnegative")
-    if margin < 10:
-        raise ValueError("margin must be at least 10")
-    if dim < n_max + k_range + margin:
+    if dim < n_max + k_range + TAIL_MARGIN:
         raise ValueError("dim too small for requested modes plus margin")
 
     z = 1.0 / (nbar + 1.0)
@@ -303,5 +308,4 @@ def osc_eigensystem(gamma: float, nbar: float, n_max: int, k_range: int,
                 lefts[(n, -k)] = C.conj().T
     for M in list(rights.values()) + list(lefts.values()):
         M.setflags(write=False)
-    return OscEigensystem(gamma, nbar, n_max, k_range, dim, margin,
-                          rights, lefts)
+    return OscEigensystem(gamma, nbar, n_max, k_range, dim, rights, lefts)

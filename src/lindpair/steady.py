@@ -292,26 +292,20 @@ def _parts(block: np.ndarray, d: int, dtype) -> tuple[tuple, bool]:
     connected components of that graph split every state on the block
     into diagonal blocks, on which ``L`` acts as well: a Lindblad
     generator maps rho^dag to L(rho)^dag, so the block is closed under
-    (i, j) -> (j, i).  Should it not be, the state is one part.  Each
-    level's label falls to the least level it reaches, by minimum
-    propagation with pointer jumping: two rounds when the block fills
-    its parts' squares.  Returns the stacks of ``_Analysis.parts`` and
-    ``partial``.
+    (i, j) -> (j, i).  Should it not be, the state is one part.  csgraph
+    numbers the components in the order of their least levels.
+    Returns the stacks of ``_Analysis.parts`` and ``partial``.
     """
+    from scipy.sparse.csgraph import connected_components
+
     i, j = block % d, block // d
     member = np.zeros(d * d, dtype=bool)
     member[block] = True
     levels, label = np.arange(d), np.zeros(d, dtype=np.intp)
     if member[i * d + j].all():
         levels = np.flatnonzero(member.reshape(d, d).any(axis=0))
-        label = np.arange(d)
-        while True:
-            new = label.copy()
-            np.minimum.at(new, i, label[j])
-            new = new[new]
-            if np.array_equal(new, label):
-                break
-            label = new
+        graph = sp.csr_matrix((np.ones(block.size), (i, j)), shape=(d, d))
+        label = connected_components(graph, directed=False)[1]
     levels = levels[np.argsort(label[levels], kind="stable")]
     size = np.bincount(label[levels])
     size = size[size > 0]

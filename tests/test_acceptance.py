@@ -15,7 +15,7 @@ from lindpair.liouvillian import LindbladTerm, Liouvillian
 from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair.moments import steady_optomech, steady_spin_osc_excitation
 from lindpair.sectors import check_decay_bound, trotter_compare
-from lindpair.spectral import osc_eigensystem, spin_eigensystem
+from lindpair.spectral import TAIL_MARGIN, osc_eigensystem, spin_eigensystem
 from lindpair.steady import damping_recurrence, off_diagonal_witness, \
     solve_steady
 
@@ -140,11 +140,11 @@ def test_sector_decay_bound():
 
 
 def test_damped_oscillator_eigensystem():
-    gamma, dim, margin = 1.0, 40, 10
-    sub = slice(0, dim - margin)
+    gamma, dim = 1.0, 40
+    sub = slice(0, dim - TAIL_MARGIN)
     worst_res = worst_gram = 0.0
     for nbar in (0.3, 1.0):
-        es = osc_eigensystem(gamma, nbar, 5, 5, dim, margin=margin)
+        es = osc_eigensystem(gamma, nbar, 5, 5, dim)
         sp = hb.space(hb.oscillator(dim))
         b = hb.embed(hb.mk_destroy(hb.oscillator(dim)), 0, sp)
         L = Liouvillian(sp, hb.Operator(sp, np.zeros((dim, dim))),

@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lindpair
 from lindpair.cli import _parser, _write_matrix_pair, main
 
 TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5,
@@ -196,3 +201,17 @@ def test_commands_looked_up_at_call_time(monkeypatch, cfg_path, tmp_path):
     assert main(["spectrum", "--config", cfg_path(TWO_SPINS),
                  "--out", "wrapped"]) == 0
     assert seen == ["wrapped"]
+
+
+def test_cli_import_leaves_lazy_modules_unloaded():
+    # scipy.integrate (the ansatz flow) and scipy.sparse.csgraph (the
+    # steady analysis) are imported where they are used: at module level
+    # they would add to the start-up time and memory of every command
+    lazy = ("scipy.integrate", "scipy.sparse.csgraph")
+    code = ("import sys, lindpair.cli; "
+            f"print([m for m in {lazy!r} if m in sys.modules])")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(lindpair.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -103,7 +103,6 @@ def test_build_two_spins_structure():
     assert bm.reference_name == "gamma_A"
     assert bm.reference_rate == 1.0
     assert bm.a_factors == (0,) and bm.b_factors == (1,)
-    assert bm.a_unit_costs == ((0.5, 1),)
     assert np.allclose(bm.analytic_A_steady, np.diag([0.2, 0.8]))
     assert list(bm.es.exc) == [0, 1]
 
@@ -122,7 +121,6 @@ def test_build_optomechanical_structure():
     bm = build_model(OPTOMECH)
     assert bm.L.dim == 20
     assert bm.reference_name == "kappa"
-    assert bm.a_unit_costs == ((0.5, None),)
     rho = np.kron(bm.analytic_A_steady, bm.analytic_B_steady)
     assert rho.shape == (20, 20)
     assert np.isclose(np.trace(rho).real, 1.0)

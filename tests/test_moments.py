@@ -203,6 +203,10 @@ def test_ansatz_width_fixed_points():
     res0 = integrate_gaussian_ansatz(cfg, GaussianAnsatz(d=1.0 / 0.4),
                                      np.linspace(0.0, 5.0, 21))
     assert np.abs(res0["d"] - 1.0 / 0.4).max() <= 1e-9
+    # a one-sample grid is the initial point
+    res1 = integrate_gaussian_ansatz(cfg, GaussianAnsatz(d=0.2), [0.0])
+    assert list(res1["times"]) == [0.0] and not res1["diverged"]
+    assert res1["final_bcd"] == (0.0, 0.0, 0.2)
 
 
 def test_ansatz_slope_with_drive():

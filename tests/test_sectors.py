@@ -1,5 +1,6 @@
 """Excitation sectors, decay rates, bounds, and splitting errors."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,7 @@ from lindpair.evolve import evolve
 from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator)
 from lindpair.models import ModelConfig, build_model
-from lindpair.sectors import (build_excitation_structure,
+from lindpair.sectors import (_eligible_ls, build_excitation_structure,
                               check_decay_bound, excitation_commutator,
                               project_sector, sector_decay_rate,
                               sector_generator_matrix, sector_pair_mask,
@@ -40,11 +41,11 @@ def test_excitation_arrays():
     assert list(es.exc) == [0, 1]
     es2 = build_excitation_structure(hb.space(hb.oscillator(5)))
     assert list(es2.exc) == [0, 1, 2, 3, 4]
-    es3 = build_excitation_structure(hb.space(hb.spin(), hb.oscillator(3)))
-    assert list(es3.exc) == [0, 1, 2, 1, 2, 3]
-    assert es3.max_excitation == 3
     # composite index repeats each A excitation across the B block
     assert list(es.composite_excitation(6)) == [0, 0, 0, 1, 1, 1]
+    # system A is one tensor factor
+    with pytest.raises(ValueError, match="one tensor factor, got 2"):
+        build_excitation_structure(hb.space(hb.spin(), hb.oscillator(3)))
 
 
 def test_generator_commutes_with_excitation():
@@ -111,14 +112,18 @@ def test_sector_vec_indices_match_mask():
 
 
 def test_single_factor_decay_rates():
-    spin_stub = SimpleNamespace(a_unit_costs=[(0.45, 1)])
-    assert sector_decay_rate(spin_stub, 0) == 0.0
-    assert sector_decay_rate(spin_stub, 1) == pytest.approx(-0.45)
-    assert sector_decay_rate(spin_stub, -1) == pytest.approx(-0.45)
-    with pytest.raises(ValueError):
-        sector_decay_rate(spin_stub, 2)
-    osc_stub = SimpleNamespace(a_unit_costs=[(0.3, None)])
-    assert sector_decay_rate(osc_stub, 4) == pytest.approx(-1.2)
+    spin = build_model(ModelConfig(model="two_spins", omega=1.0, gamma_A=0.9,
+                                   gamma_B=0.8, s_A=0.7, s_B=0.4, Omega=1.3))
+    assert sector_decay_rate(spin, 0) == 0.0
+    assert sector_decay_rate(spin, 1) == pytest.approx(-0.45)
+    assert sector_decay_rate(spin, -1) == pytest.approx(-0.45)
+    with pytest.raises(ValueError, match="sector 2"):
+        sector_decay_rate(spin, 2)
+    osc = build_model(ModelConfig(model="optomechanical", omega=2.0, nu=1.5,
+                                  kappa=0.6, gamma=0.7, nbar=0.3, mbar=0.1,
+                                  g=0.6, n_trunc=(4, 3)))
+    # defined past the ladder's eligible sectors too
+    assert sector_decay_rate(osc, 4) == pytest.approx(-1.2)
 
 
 def test_model_decay_rates():
@@ -128,29 +133,26 @@ def test_model_decay_rates():
     assert sector_decay_rate(om, 3) == pytest.approx(-1.5)
 
 
-def test_composite_a_rates_match_dense_spectrum():
-    # spin (cost gs/2, one unit) + pure-decay oscillator (kap/2 each);
-    # with nbar = 0 the truncated ladder spectrum is exactly triangular,
-    # so the greedy assignment must match the slowest sector eigenvalue
-    gs, kap, gB = 0.8, 0.5, 1.3
-    spA = hb.space(hb.spin(), hb.oscillator(6))
-    sp_full = hb.space(hb.spin(), hb.oscillator(6), hb.spin())
-    es = build_excitation_structure(spA)
-    sm, sp_, _ = hb.mk_spin_ops(hb.spin())
-    a = hb.mk_destroy(hb.oscillator(6))
-    H = hb.Operator(sp_full, np.zeros((24, 24), dtype=complex))
-    L = Liouvillian(sp_full, H, [
-        LindbladTerm(hb.embed(sm, 0, sp_full), gs * 0.7),
-        LindbladTerm(hb.embed(sp_, 0, sp_full), gs * 0.3),
-        LindbladTerm(hb.embed(a, 1, sp_full), kap),
-        LindbladTerm(hb.embed(sm, 2, sp_full), gB * 0.6),
-        LindbladTerm(hb.embed(sp_, 2, sp_full), gB * 0.4)])
-    stub = SimpleNamespace(a_unit_costs=[(gs / 2.0, 1), (kap / 2.0, None)])
-    for l in (1, 2, 3, 4):
-        M = sector_generator_matrix(L, es, l)
-        eta = sector_decay_rate(stub, l)
-        assert np.linalg.eigvals(M).real.max() == pytest.approx(eta,
-                                                                abs=1e-9)
+def test_decay_rates_match_sector_spectrum():
+    # uncoupled, the slowest mode of sector l is A's slowest mode there
+    # (B contributes its zero eigenvalue); with nbar = 0 the oscillator
+    # ladder is exactly triangular, so the truncation does not move it
+    for cfg in (
+            dict(model="two_spins", omega=1.0, gamma_A=0.8, gamma_B=1.3,
+                 s_A=0.7, s_B=0.4, Omega=0.0),
+            dict(model="spin_oscillator", omega_A=1.0, omega_B=2.0,
+                 gamma_A=0.9, gamma_B=1.1, s=0.3, nbar=0.2, Omega=0.0,
+                 n_trunc=5),
+            dict(model="optomechanical", omega=2.0, nu=1.5, kappa=0.5,
+                 gamma=0.7, nbar=0.0, mbar=0.1, g=0.0, n_trunc=(6, 3))):
+        bm = build_model(cfg)
+        ls = _eligible_ls(bm)
+        assert ls == ([1] if cfg["model"] != "optomechanical"
+                      else [1, 2, 3, 4])
+        for l in ls:
+            M = sector_generator_matrix(bm.L, bm.es, l)
+            assert np.linalg.eigvals(M).real.max() == pytest.approx(
+                sector_decay_rate(bm, l), abs=1e-9)
 
 
 def test_generator_spectrum_in_left_half_plane():
@@ -180,7 +182,7 @@ def test_decay_bound_violation_detected():
     bm = build_model(ModelConfig(model="spin_oscillator", omega_A=1.0,
                                  omega_B=1.0, gamma_A=1.0, gamma_B=1.0,
                                  s=0.5, nbar=0.0, Omega=0.5, n_trunc=5))
-    lying = SimpleNamespace(L=bm.L, es=bm.es, a_unit_costs=[(5.0, 1)])
+    lying = dataclasses.replace(bm, reference_rate=10.0)
     d = bm.L.dim
     psi = np.zeros(d, dtype=complex)
     psi[0] = psi[5] = 1.0 / np.sqrt(2.0)
@@ -309,8 +311,7 @@ def test_decay_bound_rejects_non_commuting_generator(check):
     L = Liouvillian(sp_full, H, [LindbladTerm(lower, 1.0),
                                  LindbladTerm(b, 1.0)])
     model = SimpleNamespace(L=L, es=build_excitation_structure(
-        hb.space(hb.spin())), a_unit_costs=[(0.5, 1)],
-        a_terms=[LindbladTerm(lower, 1.0)])
+        hb.space(hb.spin())), a_terms=[LindbladTerm(lower, 1.0)])
     rho0 = _random_state(L.dim, seed=14)
     with pytest.raises(RuntimeError, match="sector 1 is not closed"):
         check(model, rho0)

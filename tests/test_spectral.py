@@ -7,8 +7,8 @@ from lindpair import hilbert as hb
 from lindpair.evolve import evolve, trace_norm
 from lindpair.liouvillian import (Liouvillian, LindbladTerm,
                                   sparse_superoperator)
-from lindpair.spectral import (normal_ordered_fock_matrix, osc_eigensystem,
-                               spin_eigensystem)
+from lindpair.spectral import (TAIL_MARGIN, normal_ordered_fock_matrix,
+                               osc_eigensystem, spin_eigensystem)
 from lindpair.steady import thermal_state
 
 
@@ -68,10 +68,10 @@ def test_normal_ordered_fock_matrix_shape():
 
 @pytest.mark.parametrize("nbar", [0.3, 1.0])
 def test_osc_eigensystem_residuals(nbar):
-    gamma, dim, margin = 1.0, 40, 10
-    es = osc_eigensystem(gamma, nbar, 5, 5, dim, margin=margin)
+    gamma, dim = 1.0, 40
+    es = osc_eigensystem(gamma, nbar, 5, 5, dim)
     L = _osc_liouvillian(gamma, nbar, dim)
-    sub = slice(0, dim - margin)
+    sub = slice(0, dim - TAIL_MARGIN)
     worst_r = worst_l = 0.0
     for (n, k) in es.pairs():
         lam = es.eigenvalue(n, k)
@@ -149,6 +149,6 @@ def test_spectral_propagation_of_mode_superposition():
 
 def test_osc_eigensystem_validation():
     with pytest.raises(ValueError):
-        osc_eigensystem(1.0, 0.3, 3, 3, 12)  # dim below n+k+margin
+        osc_eigensystem(1.0, 0.3, 3, 3, 12)  # dim below n+k+TAIL_MARGIN
     with pytest.raises(ValueError):
         osc_eigensystem(1.0, -0.1, 1, 1, 20)
