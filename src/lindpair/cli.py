@@ -326,6 +326,23 @@ def cmd_figure(args) -> int:
     return 0
 
 
+def _horizon(text: str) -> float:
+    """``--t-max``: a finite, positive time."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _sample_count(text: str) -> int:
+    """``--samples``: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     # built once per process: parse_args keeps no state between calls,
@@ -343,9 +360,9 @@ def _parser() -> argparse.ArgumentParser:
 
     sp_run = sub.add_parser("run", help="evolve and record a trajectory")
     common(sp_run)
-    sp_run.add_argument("--t-max", type=float, default=10.0,
+    sp_run.add_argument("--t-max", type=_horizon, default=10.0,
                         help="horizon in units of the reference rate")
-    sp_run.add_argument("--samples", type=int, default=101)
+    sp_run.add_argument("--samples", type=_sample_count, default=101)
 
     sp_st = sub.add_parser("steady", help="solve the composite fixed point")
     common(sp_st)

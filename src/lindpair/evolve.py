@@ -116,7 +116,7 @@ def evolve(L: Liouvillian, rho0, t_grid,
     rho0 : Operator or ndarray
         Initial state at ``t_grid[0]``; trace must be 1 within 1e-8.
     t_grid : array
-        Strictly increasing sample times.
+        Finite, strictly increasing sample times.
     observables : mapping, optional
         Name to operator; records ``Tr(O rho)`` at each sample.
     distance_target : ndarray, optional
@@ -131,6 +131,8 @@ def evolve(L: Liouvillian, rho0, t_grid,
     rho = np.asarray(getattr(rho0, "entries", rho0),
                      dtype=complex).copy(order="F")
     t_grid = np.asarray(t_grid, dtype=float)
+    if not np.isfinite(t_grid).all():
+        raise ValueError("t_grid must be finite")
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:

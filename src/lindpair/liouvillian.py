@@ -9,7 +9,11 @@ Its superoperator ``S`` (column-stacking convention,
 ``A rho B -> kron(B^T, A) vec(rho)``) is assembled on first use as one
 read-only CSR matrix and cached on the generator: ``apply`` is one
 sparse matvec with ``S``, and :func:`sparse_superoperator` hands the
-same ``S`` to the steady-state solve, spectra and sector restrictions.
+same ``S`` to spectra and sector restrictions.  The steady-state solve
+does not take it: ``S`` is a sum of kron terms of the drift and the
+jumps (``_kron_terms``), and the solve forms its block's values from
+those factors, assembling ``S`` (``_assemble``, not cached) only to
+analyse a pattern it has not seen.
 The matvec calls SciPy's compiled CSR kernel (``csr_matvec``) directly,
 the kernel ``S @ v`` ends in, so its result is bitwise SciPy's product;
 it skips the operator dispatch, which at the sizes a trajectory runs
@@ -20,7 +24,7 @@ arrays, which are the CSC arrays of ``S^T``: ``S^dag x`` is
 :func:`block_triplets`.
 
 ``S`` is written as one list of (row, column, value) triplets, the
-outer products of the nonzeros of each kron factor, in a single
+outer products of the nonzeros of each kron term's factors, in a single
 preallocated buffer (int32 indices, complex values), and converted to
 CSR once.  Building it from ``scipy.sparse.kron`` calls and sparse
 additions instead creates and validates a new sparse matrix at every
@@ -103,37 +107,7 @@ class Liouvillian:
 
     @cached_property
     def _S(self) -> sp.csr_matrix:
-        # kron(1, K) + kron(conj K, 1) + sum_j r_j kron(conj J_j, J_j),
-        # with the drift K = -i H - (1/2) sum_j r_j J_j^dag J_j, written
-        # term by term into one triplet buffer and converted once
-        d = self.dim
-        jumps = [_nonzeros(t.jump_op.entries) for t in self.terms]
-        K = _drift(self.hamiltonian.entries, self.terms, jumps)
-        diag = np.arange(d, dtype=np.int32)
-        one = (diag, diag, np.ones(d))
-        k = _nonzeros(K)
-        krons = [(1.0, one, k), (1.0, (k[0], k[1], k[2].conj()), one)]
-        for t, (r, c, v) in zip(self.terms, jumps):
-            krons.append((t.rate, (r, c, v.conj()), (r, c, v)))
-        n = sum(a[2].size * b[2].size for _, a, b in krons)
-        rows = np.empty(n, dtype=np.int32)
-        cols = np.empty(n, dtype=np.int32)
-        vals = np.empty(n, dtype=complex)
-        end = 0
-        for rate, (ra, ca, va), (rb, cb, vb) in krons:
-            start, end = end, end + va.size * vb.size
-            shape = (va.size, vb.size)
-            # kron(A, B)[i d + k, j d + l] = A[i, j] B[k, l]
-            np.add.outer(ra * d, rb, out=rows[start:end].reshape(shape))
-            np.add.outer(ca * d, cb, out=cols[start:end].reshape(shape))
-            np.multiply.outer(va, vb, out=vals[start:end].reshape(shape))
-            vals[start:end] *= rate
-        # the conversion sums duplicates and leaves S canonical, so scipy
-        # never sorts the shared arrays in place; stored zeros (zero
-        # rates, cancellations) go, since the steady solver would read
-        # them as couplings between blocks
-        S = sp.coo_matrix((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
-        S.eliminate_zeros()
+        S = _assemble(_kron_terms(self), self.dim)
         for a in (S.data, S.indices, S.indptr):
             a.flags.writeable = False
         return S
@@ -176,6 +150,56 @@ def _nonzeros(M: np.ndarray):
     """Rows, columns (int32) and values of the nonzeros of a dense matrix."""
     r, c = np.nonzero(M)
     return r.astype(np.int32), c.astype(np.int32), M[r, c]
+
+
+def _kron_terms(L: Liouvillian) -> list:
+    """The kron terms ``rate * kron(left, right)`` whose sum is ``S``.
+
+    ``S = kron(1, K) + kron(conj K, 1) + sum_j r_j kron(conj J_j, J_j)``,
+    with the drift ``K = -i H - (1/2) sum_j r_j J_j^dag J_j``.  Each
+    factor is given by the rows, columns and values of its nonzeros in
+    row-major order (``_nonzeros``; the identity's values are real
+    ones).  A jump with a zero rate has no term: its products are exact
+    zeros, which ``S`` does not store.
+    """
+    d = L.dim
+    jumps = [_nonzeros(t.jump_op.entries) for t in L.terms]
+    K = _drift(L.hamiltonian.entries, L.terms, jumps)
+    diag = np.arange(d, dtype=np.int32)
+    one = (diag, diag, np.ones(d))
+    k = _nonzeros(K)
+    terms = [(1.0, one, k), (1.0, (k[0], k[1], k[2].conj()), one)]
+    for t, (r, c, v) in zip(L.terms, jumps):
+        if t.rate != 0:
+            terms.append((t.rate, (r, c, v.conj()), (r, c, v)))
+    return terms
+
+
+def _assemble(terms, d: int) -> sp.csr_matrix:
+    """The canonical CSR sum of the kron terms, stored zeros removed.
+
+    Every term is written into one triplet buffer and converted once.
+    """
+    n = sum(a[2].size * b[2].size for _, a, b in terms)
+    rows = np.empty(n, dtype=np.int32)
+    cols = np.empty(n, dtype=np.int32)
+    vals = np.empty(n, dtype=complex)
+    end = 0
+    for rate, (ra, ca, va), (rb, cb, vb) in terms:
+        start, end = end, end + va.size * vb.size
+        shape = (va.size, vb.size)
+        # kron(A, B)[i d + k, j d + l] = A[i, j] B[k, l]
+        np.add.outer(ra * d, rb, out=rows[start:end].reshape(shape))
+        np.add.outer(ca * d, cb, out=cols[start:end].reshape(shape))
+        np.multiply.outer(va, vb, out=vals[start:end].reshape(shape))
+        vals[start:end] *= rate
+    # the conversion sums duplicates and leaves S canonical, so scipy
+    # never sorts the shared arrays in place; stored zeros (cancellations)
+    # go, since the steady solver would read them as couplings between
+    # blocks
+    S = sp.coo_matrix((vals, (rows, cols)), shape=(d * d, d * d)).tocsr()
+    S.eliminate_zeros()
+    return S
 
 
 def _drift(H: np.ndarray, terms, jumps) -> np.ndarray:

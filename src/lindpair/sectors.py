@@ -207,8 +207,8 @@ def check_decay_bound(model, rho0, t_grid,
     is empty reports zeros.  A violation beyond the multiplicative slack
     ``tol_bound`` (plus a 1e-12 absolute floor for identically zero
     sectors) raises RuntimeError.  A non-square, non-hermitian or
-    unnormalized ``rho0``, a ``t_grid`` that is not strictly increasing,
-    or any l below 1 raises ValueError.
+    unnormalized ``rho0``, a ``t_grid`` that is not finite and strictly
+    increasing, or any l below 1 raises ValueError.
 
     The constant-1 bound is a theorem for a spin A only: A's damping
     acts on sector +-1 as the scalar ``e^{eta_1 t}`` and the rest of the
@@ -232,6 +232,8 @@ def check_decay_bound(model, rho0, t_grid,
     if np.abs(rho0 - rho0.conj().T).max() > HERM_BRANCH_TOL * np.abs(rho0).max():
         raise ValueError("rho0 is not hermitian; sector -l is rebuilt from +l")
     times = np.array(t_grid, dtype=float)
+    if not np.isfinite(times).all():
+        raise ValueError("t_grid must be finite")
     if times.ndim != 1 or times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("t_grid must be strictly increasing")
     ls = _eligible_ls(model) if ls is None else list(dict.fromkeys(ls))

@@ -33,12 +33,17 @@ unpivoted dissection order):
 
 The state is supported on the block's pairs (i, j), whose levels
 split it into diagonal blocks (15 x 15 ones at optomechanical
-(12, 15)); its positivity check, clip and residual run block by block.
+(12, 15)); its positivity check, clip and residual run block by block,
+the residual on the block's own rows.
 All of that up to the values is a symbolic analysis of the pattern of
-the superoperator; it is cached per pattern (keyed on the factor
-dimensions and a digest of the CSR index arrays, at most
-``_CACHE_BYTES`` retained), so a sweep over couplings or rates pays
-only for the values, the LU and the postprocess on each solve.
+the superoperator, which is the sum of kron products of the drift and
+the jumps: the analysis also maps the nonzeros of those factors onto
+the block's values.  It is cached per factor pattern (the factor
+dimensions and the index arrays of the factors' nonzeros, at most
+``_CACHE_BYTES`` retained), so a sweep over couplings or rates forms
+only the block's values, the LU and the postprocess on each solve, and
+never assembles the superoperator; a cancellation that changes the
+pattern under the same factors is detected and analysed afresh.
 The recurrence oracle iterates the Fock-basis relations of the damped
 oscillator steady state: the diagonal reproduces a geometric profile,
 while every off-diagonal forces a coefficient sequence whose partial
@@ -49,7 +54,6 @@ argument are checked in exact rational arithmetic.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import warnings
 from collections import OrderedDict
@@ -60,10 +64,11 @@ from math import exp, factorial, frexp, ldexp, lgamma, pi, prod, sqrt
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from .evolve import blockwise_trace_norm, trace_norm
 from .hilbert import Operator
-from .liouvillian import (Liouvillian, block_triplets, sparse_superoperator,
+from .liouvillian import (Liouvillian, _assemble, _kron_terms, block_triplets,
                           trace_row_indices)
 
 __all__ = [
@@ -127,16 +132,20 @@ def spin_steady(s: float) -> np.ndarray:
     return np.diag([1.0 - s, s]).astype(complex)
 
 
-def _postprocess(L: Liouvillian, raw: np.ndarray,
-                 an: _Analysis) -> SteadyReport:
+def _postprocess(L: Liouvillian, raw: np.ndarray, an: _Analysis,
+                 vals: np.ndarray) -> SteadyReport:
     """Hermitize, normalize, check positivity and take the residual.
 
     ``raw`` is supported on the pairs of the block of ``an``, so every
     step runs on the diagonal blocks ``an.parts`` of the state: its
     eigenvalues, the clip and the residual's trace norm, with one
-    LAPACK call per part size.  Only a clip on a block that leaves
-    holes in its parts' squares (``an.partial``) can move the state
-    off the block, and then the residual is taken on the whole matrix.
+    LAPACK call per part size.  The residual ``S vec(rho)`` comes from
+    the block's own CSR rows with the values ``vals``: the block is a
+    closed component of ``S``, so no other row of ``S`` meets the state,
+    and SciPy's kernel sums each row in ``S``'s order, which gives the
+    bytes of ``L.apply``.  Only a clip on a block that leaves holes in
+    its parts' squares (``an.partial``) can move the state off the
+    block, and then the residual is ``L.apply`` on the whole matrix.
     """
     # column-major like vec, so that flat is a view of rho
     rho = np.add(raw, raw.conj().T, order="F")
@@ -161,13 +170,17 @@ def _postprocess(L: Liouvillian, raw: np.ndarray,
                 flat[p] = (V * np.clip(w, 0.0, None)[:, None, :]
                            ) @ V.conj().swapaxes(1, 2)
             rho /= np.trace(rho).real
-    R = L.apply(rho)
+    n = an.block.size
     if clipped > 0 and an.partial:
-        residual = trace_norm(R)
+        residual = trace_norm(L.apply(rho))
     else:
-        R_flat = R.reshape(-1, order="F")
-        residual = blockwise_trace_norm(R, [R_flat[p] for p in an.parts])
-    return SteadyReport(Operator(L.space, rho), residual, an.block.size,
+        R_flat = np.zeros(flat.size, dtype=complex)
+        y = np.zeros(n, dtype=complex)
+        csr_matvec(n, n, an.rptr, an.rcols, vals, flat[an.block], y)
+        R_flat[an.block] = y
+        residual = blockwise_trace_norm(R_flat.reshape(rho.shape, order="F"),
+                                        [R_flat[p] for p in an.parts])
+    return SteadyReport(Operator(L.space, rho), residual, n,
                         clipped_weight=clipped)
 
 
@@ -251,34 +264,47 @@ class _Analysis:
     """The symbolic part of a steady solve, set by the pattern of ``S``.
 
     ``block`` holds the vec indices of the unknowns in solve order and
-    ``degenerate`` the search's flag.  ``at`` are the positions in
-    ``S.data`` of the block's values, row-major in block coordinates.
-    The trace-augmented system is the CSC matrix with row ``indices``
-    and column pointers ``indptr`` whose values are those of
-    ``S.data[at]``, with the trace weight appended, taken at
-    ``gather``; a slot equal to ``at.size`` is a trace-row slot.
-    ``tdiag`` are the positions in ``S.data`` of the diagonal entries of
-    the trace row's columns, its own column excluded; they set the
-    weight.  ``parts`` splits the state into diagonal blocks: one stack
-    of vec indices ``(m, k, k)`` per part size k, the ``[r, c]`` entry
-    of a part with levels ``a`` at ``a[c] d + a[r]``.  ``partial`` is
-    set when the block does not fill its parts' squares.
+    ``degenerate`` the search's flag.  The block's values are numbered
+    row-major in block coordinates, each row in ``S``'s column order;
+    ``rptr`` and ``rcols`` are the block's CSR row pointers and columns
+    in that numbering.  The trace-augmented system is the CSC matrix
+    with row ``indices`` and column pointers ``indptr`` whose values are
+    the block's, with the trace weight appended, taken at ``gather``; a
+    slot equal to ``rcols.size`` is a trace-row slot.  ``tdiag`` are the
+    slots of the diagonal entries of the trace row's columns, its own
+    column excluded; they set the weight.  ``parts`` splits the state
+    into diagonal blocks: one stack of vec indices ``(m, k, k)`` per
+    part size k, the ``[r, c]`` entry of a part with levels ``a`` at
+    ``a[c] d + a[r]``.  ``partial`` is set when the block does not fill
+    its parts' squares.
+
+    ``pairs`` maps the kron terms of ``S`` (``_kron_terms``) onto the
+    block: per term, the indices ``p`` and ``q`` of the left and right
+    factor nonzeros whose product lands in a row or a column of the
+    block, the group ``g`` it lands in, and the number ``f`` of leading
+    pairs that open their group.  Groups below ``rcols.size`` are the
+    block's values; the other ``groups - rcols.size`` summed to exactly
+    zero and are not stored in ``S``.
     """
 
     block: np.ndarray
     degenerate: bool
-    at: np.ndarray
+    rptr: np.ndarray
+    rcols: np.ndarray
     gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     tdiag: np.ndarray
     parts: tuple
     partial: bool
+    pairs: tuple
+    groups: int
 
     @property
     def arrays(self) -> tuple:
-        return (self.block, self.at, self.gather, self.indices, self.indptr,
-                self.tdiag) + self.parts
+        return (self.block, self.rptr, self.rcols, self.gather, self.indices,
+                self.indptr, self.tdiag) + self.parts + tuple(
+                    a for p, q, g, _ in self.pairs for a in (p, q, g))
 
     @property
     def nbytes(self) -> int:
@@ -317,8 +343,86 @@ def _parts(block: np.ndarray, d: int, dtype) -> tuple[tuple, bool]:
     return tuple(parts), sum(p.size for p in parts) != block.size
 
 
-def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
-    """The symbolic analysis of the steady block of ``S``.
+def _term_pairs(ra, rb, i, k, d: int):
+    """The pairs (p, q) of factor nonzeros, ``ra`` and ``rb`` ascending,
+    with ``ra[p] = i[t]`` and ``rb[q] = k[t]`` for a target ``t``: the
+    kron products of a term that land in the vec rows ``i d + k`` (or,
+    given the columns, in those columns).  Returns ``t``, ``p`` and
+    ``q``, target by target, p-major; only those targets' pairs are
+    formed, never the whole term."""
+    sa = np.searchsorted(ra, np.arange(d + 1)).astype(np.int32)
+    sb = np.searchsorted(rb, np.arange(d + 1)).astype(np.int32)
+    na, nb = np.diff(sa)[i], np.diff(sb)[k]
+    count = na * nb
+    t = np.repeat(np.arange(count.size, dtype=np.int32), count)
+    off = np.arange(t.size, dtype=np.int32) - np.repeat(
+        (np.cumsum(count) - count).astype(np.int32), count)
+    p, q = np.divmod(off, nb[t])
+    return t, sa[i][t] + p, sb[k][t] + q
+
+
+def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
+               row: np.ndarray, vcol: np.ndarray) -> tuple[tuple, int]:
+    """``_Analysis.pairs`` and ``groups`` for the block's values, at
+    block rows ``row`` and vec columns ``vcol``.
+
+    Each term's products in the block's rows are enumerated
+    (``_term_pairs``); one lands in the value of its row and column or,
+    when ``S`` stores none there, in a group of its own vec (row,
+    column), numbered after the values.  So do products in the block's
+    columns from rows outside it, which the block's columns take only
+    if they take more products than its rows give them.  Each term
+    holds one pair per group at most, so a group sums its terms left to
+    right, in ``S``'s triplet order: the first term sets it and later
+    ones add to it.
+    """
+    dd = d * d
+    # the values' keys, ascending, and one past every key
+    rkeys = np.append(row * np.int64(dd) + vcol, np.iinfo(np.int64).max)
+    i, k = np.divmod(block, d)
+    found = []
+    for _, (ra, ca, _), (rb, cb, _) in terms:
+        t, p, q = _term_pairs(ra, rb, i, k, d)
+        c = ca[p] * d + cb[q]
+        key = t * np.int64(dd) + c
+        g = np.searchsorted(rkeys, key).astype(np.int32)
+        cut = rkeys[g] != key
+        gone = block[t[cut]] * np.int64(dd) + c[cut]
+        # products in the block's columns from rows outside it, which
+        # exist when the columns take more than the rows give them
+        into = np.bincount(ca, minlength=d)[i] * np.bincount(cb, minlength=d)[k]
+        if into.sum() > p.size - np.count_nonzero(local[c[cut]] < 0):
+            oa = np.argsort(ca, kind="stable").astype(np.int32)
+            ob = np.argsort(cb, kind="stable").astype(np.int32)
+            _, pc, qc = _term_pairs(ca[oa], cb[ob], i, k, d)
+            pc, qc = oa[pc], ob[qc]
+            r = ra[pc] * d + rb[qc]
+            out = local[r] < 0
+            pc, qc = pc[out], qc[out]
+            p, q = np.concatenate([p, pc]), np.concatenate([q, qc])
+            g = np.concatenate([g, np.zeros(pc.size, np.int32)])
+            cut = np.concatenate([cut, np.ones(pc.size, bool)])
+            gone = np.concatenate([gone, r[out] * np.int64(dd)
+                                   + ca[pc] * d + cb[qc]])
+        found.append((p, q, g, cut, gone))
+    gone = np.unique(np.concatenate([f[4] for f in found]))
+    groups = row.size + gone.size
+    opened = np.zeros(groups, dtype=bool)
+    pairs = []
+    for p, q, g, cut, key in found:
+        g[cut] = row.size + np.searchsorted(gone, key)
+        first = ~opened[g]
+        opened[g] = True
+        if not first.all():
+            p, q, g = (np.concatenate([a[first], a[~first]])
+                       for a in (p, q, g))
+        pairs.append((p, q, g, int(first.sum())))
+    return tuple(pairs), groups
+
+
+def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
+    """The symbolic analysis of the steady block of ``S``, the sum of
+    the kron ``terms``.
 
     The block is found and ordered (``_trace_block``,
     ``_dissection_order``) and read off the CSR arrays
@@ -328,7 +432,8 @@ def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
     out in CSC order: a stable sort by column keeps each column's rows
     ascending, so the arrays are canonical and equal to those of the
     COO -> CSC conversion.  The state's diagonal blocks come from
-    ``_parts``.  Every array is read-only.
+    ``_parts`` and the map from the terms onto the block's values from
+    ``_value_map``.  Every array is read-only.
     """
     d = prod(dims)
     block, degenerate = _trace_block(S, d)
@@ -340,25 +445,51 @@ def _analyse(S: sp.csr_matrix, dims: tuple) -> _Analysis:
     lo = np.searchsorted(row, n - 1)
     is_t = np.zeros(n, dtype=bool)
     is_t[t] = True
-    tdiag = at[:lo][(row[:lo] == col[:lo]) & is_t[col[:lo]]]
+    tdiag = np.flatnonzero((row[:lo] == col[:lo]) & is_t[col[:lo]])
+    rptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=rptr[1:])
+    rcols = col
     col = np.concatenate([col[:lo], t])
     order = np.argsort(col, kind="stable")
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
-    dtype = S.indptr.dtype
     an = _Analysis(
-        block, degenerate, at.astype(dtype),
-        np.concatenate([np.arange(lo, dtype=dtype),
-                        np.full(t.size, at.size, dtype)])[order],
+        block, degenerate, rptr, rcols,
+        np.concatenate([np.arange(lo, dtype=np.int32),
+                        np.full(t.size, at.size, np.int32)])[order],
         np.concatenate([row[:lo], np.full(t.size, n - 1, np.int32)])[order],
-        indptr, tdiag.astype(dtype), *_parts(block, d, dtype))
+        indptr, tdiag.astype(np.int32), *_parts(block, d, np.int32),
+        *_value_map(terms, d, block, local, row, S.indices[at]))
     for a in an.arrays:
         a.flags.writeable = False
     return an
 
 
-def _system(S: sp.csr_matrix, an: _Analysis):
-    """The trace-augmented block system of ``S`` and its trace weight.
+def _block_values(terms, an: _Analysis) -> tuple[np.ndarray, bool]:
+    """The block's values from the kron terms, and whether they are exact.
+
+    Each product is formed as ``S``'s assembly forms it and each group
+    is summed left to right in its triplet order, as SciPy sums the
+    duplicates of a row of at most 16 triplets; a longer row it sorts
+    unstably, which matters only for a group of three products or more.
+    The models' groups hold at most two, which commute, so their values
+    are bitwise those of ``S``.  The values are exact for ``an``, the
+    pattern being unchanged, when no value sums to zero and every group
+    that ``S`` dropped still does.
+    """
+    out = np.empty(an.groups, dtype=complex)
+    for (rate, (_, _, va), (_, _, vb)), (p, q, g, f) in zip(terms, an.pairs):
+        x = va[p] * vb[q]
+        x *= rate
+        out[g[:f]] = x[:f]
+        out[g[f:]] += x[f:]
+    vals = out[:an.rcols.size]
+    return vals, bool(vals.all()) and not out[vals.size:].any()
+
+
+def _system(vals: np.ndarray, an: _Analysis):
+    """The trace-augmented block system with values ``vals`` and its
+    trace weight.
 
     The weight ``w`` of the trace row and the right-hand side is the
     power of two ``2**(floor(log2 m) - 20)``, with ``m`` the smallest
@@ -373,11 +504,11 @@ def _system(S: sp.csr_matrix, an: _Analysis):
     0 or 1, and the factors fill by up to a quarter more (module
     docstring).
     """
-    ext = np.empty(an.at.size + 1, dtype=complex)
-    np.take(S.data, an.at, out=ext[:-1])
+    ext = np.empty(vals.size + 1, dtype=complex)
+    ext[:-1] = vals
     w = 1.0
     if an.tdiag.size:
-        v = np.abs(S.data[an.tdiag])
+        v = np.abs(vals[an.tdiag])
         w = ldexp(1.0, frexp(max(v.min(), v.max() * _DIAG_FLOOR))[1] - 21)
     ext[-1] = w
     n = an.block.size
@@ -387,44 +518,56 @@ def _system(S: sp.csr_matrix, an: _Analysis):
 
 # Bytes of symbolic analyses kept between solves.  One pass of the
 # benchmark's steady sweep (102 solves, 10 patterns, blocks of 4 to
-# 4,050 unknowns) keeps 1.93 MB; one spin-oscillator analysis takes
-# 3.5 MB at d=256 (32,768 unknowns) and 14.1 MB at d=512 (131,072), so
-# the bound holds a whole sweep next to two d=512 analyses, ~2% of the
-# peak memory of a d=512 solve.
+# 4,050 unknowns) keeps 3.9 MB; one spin-oscillator analysis takes
+# 7.2 MB at d=256 (32,768 unknowns) and 28.7 MB at d=512 (131,072), half
+# of it the map from the factors onto the block's values, so the bound
+# holds a whole sweep next to one d=512 analysis, ~5% of the peak
+# memory of a d=512 solve.
 _CACHE_BYTES = 32 << 20
 _analyses: OrderedDict = OrderedDict()
 _analyses_lock = threading.Lock()
 
 
-def _pattern_key(S: sp.csr_matrix, dims: tuple) -> tuple:
-    """Cache key of ``S``: the factor dimensions and a 16-byte blake2b
-    digest of ``S.indptr`` and ``S.indices``."""
-    h = hashlib.blake2b(digest_size=16)
-    h.update(S.indptr)
-    h.update(S.indices)
-    return dims, h.digest()
+def _pattern_key(terms, dims: tuple) -> tuple:
+    """Cache key of a generator: its factor dimensions and the index
+    arrays of the nonzeros of every kron factor."""
+    return dims, tuple(a.tobytes() for _, (ra, ca, _), (rb, cb, _) in terms
+                       for a in (ra, ca, rb, cb))
 
 
-def _analysis(S: sp.csr_matrix, dims: tuple) -> _Analysis:
-    """The analysis of ``S``, from the cache when its pattern was seen.
+def _analysis(L: Liouvillian, terms) -> tuple[_Analysis, np.ndarray]:
+    """The analysis of ``L``'s steady block and the block's values.
 
-    Least recently used out first, with at most ``_CACHE_BYTES``
-    retained; an analysis larger than that is not kept.
+    A cached analysis of the same key serves when its values are exact
+    (``_block_values``).  Otherwise ``S`` is assembled, unless ``L``
+    already holds it, without being cached on ``L``, and analysed; the
+    new analysis replaces the entry under the key, and its values are
+    used as they are (a cancellation that only ``S``'s own summation
+    order makes exact leaves them inexact, and each later hit analyses
+    afresh).  Least recently used out first, with at most
+    ``_CACHE_BYTES`` retained; an analysis larger than that is not
+    kept.
     """
-    key = _pattern_key(S, dims)
+    dims = L.space.dims
+    key = _pattern_key(terms, dims)
     with _analyses_lock:
         an = _analyses.get(key)
         if an is not None:
             _analyses.move_to_end(key)
-            return an
-    an = _analyse(S, dims)
+    if an is not None:
+        vals, exact = _block_values(terms, an)
+        if exact:
+            return an, vals
+    S = vars(L).get("_S")
+    an = _analyse(_assemble(terms, L.dim) if S is None else S, terms, dims)
     if an.nbytes <= _CACHE_BYTES:
         with _analyses_lock:
+            _analyses.pop(key, None)
             kept = sum(a.nbytes for a in _analyses.values())
             while kept + an.nbytes > _CACHE_BYTES:
                 kept -= _analyses.popitem(last=False)[1].nbytes
             _analyses[key] = an
-    return an
+    return an, _block_values(terms, an)[0]
 
 
 def solve_steady(L: Liouvillian) -> SteadyReport:
@@ -453,24 +596,31 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     and eigenvalues in [-1e-8, 0) are clipped to zero with
     renormalization; anything more negative aborts.  Those eigenvalues,
     the clip and the residual are taken on the state's diagonal blocks
-    (``_postprocess``), not on the d x d matrix.
+    (``_postprocess``), not on the d x d matrix, the residual from the
+    block's own rows.
 
-    Everything up to the values depends on the pattern of ``S`` alone:
-    the block, its order, the degeneracy flag, the CSC index arrays,
-    the map from ``S.data`` into them, the diagonal slots that set the
-    weight and the state's diagonal blocks.  That symbolic analysis is
-    kept in a module cache keyed on the factor dimensions and a digest
-    of ``S.indptr`` and ``S.indices`` (at most ``_CACHE_BYTES``, least
-    recently used out first), so a sweep that changes only the values
-    of the generator, a coupling or a rate, pays for it once per
-    pattern.  The values, the LU and the postprocess run on every call.
+    ``S`` is the sum of kron terms of the drift and the jumps
+    (``_kron_terms``), so its pattern is set, up to exact
+    cancellations, by the patterns of those factors.  Everything up to
+    the values is kept per factor pattern in a module cache (at most
+    ``_CACHE_BYTES``, least recently used out first): the block, its
+    order, the degeneracy flag, the CSC index arrays, the diagonal
+    slots that set the weight, the state's diagonal blocks, and the map
+    from the factors' nonzeros onto the block's values.  A sweep that
+    changes only the values of the generator, a coupling or a rate,
+    assembles and analyses ``S`` once per pattern; every other solve
+    forms only the block's values from the factors and never builds
+    ``S``.  Those values are used only when the pattern of ``S`` is
+    provably the same: no value sums to exactly zero, and every product
+    group that cancelled in ``S`` still does; otherwise the pattern is
+    analysed afresh.  The values, the LU and the postprocess run on
+    every call, so a cached and a fresh analysis give the same bytes.
     """
     d = L.dim
-    S = sparse_superoperator(L)
-    an = _analysis(S, L.space.dims)
+    an, vals = _analysis(L, _kron_terms(L))
     block, degenerate = an.block, an.degenerate
     n = block.size
-    A, w = _system(S, an)
+    A, w = _system(vals, an)
     b = np.zeros(n, dtype=complex)
     b[-1] = w
     try:
@@ -485,13 +635,12 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
         # block's own size.  No equation is lost: trace preservation
         # makes the replaced row minus the sum of the other diagonal rows
         degenerate = True
-        A.data[A.indices == n - 1] = b[-1] = max(
-            1.0, np.abs(S.data[an.at]).max())
+        A.data[A.indices == n - 1] = b[-1] = max(1.0, np.abs(vals).max())
         x = spla.lsqr(A, b, atol=1e-12, btol=1e-12)[0]
         fill = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x
-    report = _postprocess(L, vec.reshape(d, d, order="F"), an)
+    report = _postprocess(L, vec.reshape(d, d, order="F"), an, vals)
     report.lu_fill = fill
     if degenerate:
         report.degenerate = True

@@ -120,6 +120,22 @@ def test_cli_argument_errors(cfg_path):
         main(["steady", "--config", cfg_path(bad), "--out", "unused"])
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "0"),
+    ("--t-max", "-1"), ("--t-max", "soon"), ("--samples", "0"),
+])
+def test_run_rejects_bad_horizon_and_samples(flag, value, cfg_path, tmp_path,
+                                             capsys):
+    # a nan or inf horizon once wrote the unpropagated initial state
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", cfg_path(TWO_SPINS), flag, value,
+              "--out", str(out)])
+    assert exc.value.code != 0
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 def test_matrix_csv_bytes_match_csv_writer(tmp_path):
     # signed zero, the smallest subnormal, a huge negative and a plain
     # value, in both parts and in a non-square matrix

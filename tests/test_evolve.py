@@ -171,6 +171,18 @@ def test_decreasing_grid_rejected():
         evolve(L, rho, [0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("t_end", [np.nan, np.inf])
+def test_nonfinite_grid_rejected(t_end, monkeypatch):
+    # a nan or inf time passed the increasing check and returned the
+    # initial state unpropagated
+    sp, L = _damped_oscillator(6)
+    rho = np.zeros((6, 6), dtype=complex)
+    rho[0, 0] = 1.0
+    monkeypatch.setattr(L, "apply", lambda rho: pytest.fail("propagated"))
+    with pytest.raises(ValueError, match="t_grid must be finite"):
+        evolve(L, rho, [0.0, t_end])
+
+
 def test_trace_drift_aborts():
     # a non-trace-preserving stand-in triggers the drift guard
     fake = SimpleNamespace(apply=lambda rho: 0.05 * rho, space=None)

@@ -212,8 +212,10 @@ def _skewed(rho):
     (lambda rho: rho[:, :-1], np.linspace(0.0, 1.0, 5), [1], "matrix"),
     (lambda rho: rho, [0.0, 0.5, 0.5, 1.0], [1], "strictly increasing"),
     (lambda rho: rho, np.linspace(0.0, 1.0, 5), [0, 1], "l=0"),
+    (lambda rho: rho, [0.0, np.nan], [1], "t_grid must be finite"),
+    (lambda rho: rho, [0.0, 0.5, np.inf], [1], "t_grid must be finite"),
 ], ids=["non_hermitian", "unnormalized", "non_square", "repeated_time",
-        "l_zero"])
+        "l_zero", "nan_time", "inf_time"])
 def test_decay_bound_rejects_bad_input(rho_of, t_grid, ls, match):
     bm = _small_spin_oscillator()
     rho0 = rho_of(_random_state(bm.L.dim, seed=11))

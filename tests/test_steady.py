@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 from lindpair import hilbert as hb
 from lindpair.evolve import trace_norm
 from lindpair.hilbert import partial_trace
-from lindpair.liouvillian import (Liouvillian, LindbladTerm, block_triplets,
-                                  sparse_superoperator, trace_row_indices)
+from lindpair.liouvillian import (Liouvillian, LindbladTerm, _kron_terms,
+                                  block_triplets, sparse_superoperator,
+                                  trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair.sectors import sector_vec_indices
 from lindpair import steady
-from lindpair.steady import (_analyse, _dissection_order,
+from lindpair.steady import (_analyse, _block_values, _dissection_order,
                              _postprocess, _system, _trace_block,
                              damping_recurrence, off_diagonal_witness,
                              pure_damping_recurrence, solve_steady,
@@ -147,8 +148,15 @@ _TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.7,
                   s_A=0.8, s_B=0.6, Omega=1.3)
 
 
-def _production_lu(S, an, thresh=0.1):
-    return spla.splu(_system(S, an)[0], permc_spec="NATURAL",
+def _analysed(L):
+    # a fresh analysis of L, outside the cache, and its block's values
+    terms = _kron_terms(L)
+    an = _analyse(sparse_superoperator(L), terms, L.space.dims)
+    return an, _block_values(terms, an)[0]
+
+
+def _production_lu(vals, an, thresh=0.1):
+    return spla.splu(_system(vals, an)[0], permc_spec="NATURAL",
                      diag_pivot_thresh=thresh,
                      options=dict(SymmetricMode=True))
 
@@ -164,12 +172,11 @@ def test_trace_row_is_pivoted_last(raw):
     # the small power-of-two weight keeps the trace row out of the
     # pivot search, so SuperLU factors the dissection order unpivoted
     bm = build_model(raw)
-    S = sparse_superoperator(bm.L)
-    an = _analyse(S, bm.L.space.dims)
+    an, vals = _analysed(bm.L)
     n = an.block.size
-    lu = _production_lu(S, an)
+    lu = _production_lu(vals, an)
     assert lu.perm_r[-1] == n - 1
-    assert lu.nnz == _production_lu(S, an, thresh=0.0).nnz
+    assert lu.nnz == _production_lu(vals, an, thresh=0.0).nnz
 
 
 @pytest.mark.parametrize("raw", [
@@ -179,10 +186,9 @@ def test_trace_row_is_pivoted_last(raw):
 def test_trace_row_swapped_in_when_ground_population_vanishes(raw):
     # at s = 1, rho_00 = 0: the trace row must take another row's place
     bm = build_model(raw)
-    S = sparse_superoperator(bm.L)
-    an = _analyse(S, bm.L.space.dims)
+    an, vals = _analysed(bm.L)
     if raw["model"] == "spin_oscillator":
-        assert _production_lu(S, an).perm_r[-1] != an.block.size - 1
+        assert _production_lu(vals, an).perm_r[-1] != an.block.size - 1
     rep = model_steady(bm)
     assert rep.residual <= 1e-9
     red_A = partial_trace(rep.rho_st, bm.a_factors).entries
@@ -210,7 +216,7 @@ def test_subnormal_diagonal_keeps_trace_weight_normal(raw, recwarn):
 ], ids=["spin_oscillator", "optomechanical", "om-uncoupled", "two_spins"])
 def test_state_splits_into_diagonal_blocks(raw, parts):
     bm = build_model(raw)
-    an = _analyse(sparse_superoperator(bm.L), bm.L.space.dims)
+    an = _analysed(bm.L)[0]
     assert [p.shape for p in an.parts] == parts and not an.partial
     # the parts' squares hold the block, each vec index once
     assert np.array_equal(np.sort(np.concatenate([p.ravel()
@@ -331,12 +337,13 @@ def test_block_read_off_csr_matches_slicing():
 
 @pytest.mark.parametrize("n_trunc", [2, 6])
 def test_analysis_system_is_canonical_csc(n_trunc):
-    # the cached CSC arrays and gather give the canonical COO -> CSC
-    # conversion of the block with its last row replaced by the trace row
+    # the cached CSC arrays and gather, with the values formed from the
+    # kron terms, give bitwise the canonical COO -> CSC conversion of
+    # the block of S with its last row replaced by the trace row
     bm = _small_model(n_trunc)
     d, S = bm.L.dim, sparse_superoperator(bm.L)
-    an = _analyse(S, bm.L.space.dims)
-    A, w = _system(S, an)
+    an, vals = _analysed(bm.L)
+    A, w = _system(vals, an)
     n = an.block.size
     row, col, at, local = block_triplets(S, an.block)
     val = S.data[at]
@@ -391,9 +398,9 @@ _CACHE_GRID = [
 def _counting_analyse(monkeypatch):
     calls = []
 
-    def counted(S, dims):
+    def counted(S, terms, dims):
         calls.append(dims)
-        return _analyse(S, dims)
+        return _analyse(S, terms, dims)
     monkeypatch.setattr(steady, "_analyse", counted)
     return calls
 
@@ -418,6 +425,100 @@ def test_cold_and_warm_cache_agree(monkeypatch):
     assert reps[0].block_dim != reps[1].block_dim
 
 
+_SWEEPS = {
+    "two_spins": [dict(_TWO_SPINS, Omega=c) for c in (0.0, 0.4, 1.3, 2.9)],
+    "spin_oscillator": [dict(_SO45, n_trunc=8, Omega=c)
+                        for c in (0.0, 0.3, 1.0, 2.2)],
+    # the undamped ground state's diagonal cancels: K_gg + conj(K_gg) = 0
+    "spin_oscillator-s0-n0": [dict(_SO45, n_trunc=8, s=0.0, nbar=0.0,
+                                   Omega=c) for c in (0.3, 1.0, 2.2)],
+    "optomechanical": [dict(_OM1215, n_trunc=(4, 5), g=c)
+                       for c in (0.0, 0.1, 0.35, 0.6)],
+    # the uncoupled pair alone, its rates swept instead
+    "optomechanical-uncoupled": [dict(_OM1215, n_trunc=(4, 5), g=0.0,
+                                      kappa=k) for k in (0.5, 1.0, 1.7)],
+}
+
+
+@pytest.mark.parametrize("sweep", list(_SWEEPS.values()), ids=list(_SWEEPS))
+def test_warm_hit_matches_cold_and_builds_no_superoperator(sweep,
+                                                           monkeypatch):
+    cold = []
+    for raw in sweep:
+        steady._analyses.clear()
+        cold.append(_report_bytes(model_steady(build_model(raw))))
+    steady._analyses.clear()
+    calls = _counting_analyse(monkeypatch)
+    for raw, ref in zip(sweep, cold):
+        bm = build_model(raw)
+        assert _report_bytes(model_steady(bm)) == ref
+        # neither a hit nor a miss leaves S on the generator
+        assert "_S" not in vars(bm.L)
+    # one analysis for the uncoupled pattern and one for the coupled
+    couplings = {raw.get("Omega", raw.get("g")) == 0 for raw in sweep}
+    assert len(calls) == len(couplings)
+    if "s" in sweep[0] and sweep[0]["s"] == sweep[0]["nbar"] == 0:
+        an = next(reversed(steady._analyses.values()))
+        assert an.groups == an.rcols.size + 1
+
+
+def _lambda_system(h1):
+    # levels 0 and 1 driven to level 2, which decays to both: 0 and 1
+    # are undamped, so the diagonals of S at the coherences (0, 1) and
+    # (1, 0) are -+i (h0 - h1), exactly zero at h1 = h0 (the dark state
+    # |D> ~ 0.4 |0> - 0.7 |1> is then the steady state); the factors'
+    # patterns do not change
+    spc = hb.space(hb.oscillator(3))
+    H = np.diag([0.5, h1, 2.0]).astype(complex)
+    H[0, 2] = H[2, 0] = 0.7
+    H[1, 2] = H[2, 1] = 0.4
+    J0, J1 = np.zeros((3, 3), complex), np.zeros((3, 3), complex)
+    J0[0, 2] = J1[1, 2] = 1.0
+    return Liouvillian(spc, hb.Operator(spc, H),
+                       [LindbladTerm(hb.Operator(spc, J0), 1.0),
+                        LindbladTerm(hb.Operator(spc, J1), 0.6)])
+
+
+def _twin_jumps(rate_b):
+    # jumps |0><1| + |1><1| and |0><1| - |1><1|: at equal rates their
+    # feeds from the population (1, 1) into the coherences (0, 1) and
+    # (1, 0) cancel, and the block holds the populations alone; at other
+    # rates the coherences join it
+    spc = hb.space(hb.oscillator(2))
+    Ja, Jb = np.zeros((2, 2), complex), np.zeros((2, 2), complex)
+    Ja[0, 1] = Ja[1, 1] = Jb[0, 1] = 1.0
+    Jb[1, 1] = -1.0
+    return Liouvillian(spc, hb.Operator(spc, np.zeros((2, 2), complex)),
+                       [LindbladTerm(hb.Operator(spc, Ja), 1.0),
+                        LindbladTerm(hb.Operator(spc, Jb), rate_b)])
+
+
+@pytest.mark.parametrize("build, cancelled, plain", [
+    (_lambda_system, 0.5, 0.8), (_twin_jumps, 1.0, 0.5),
+], ids=["lambda", "twin_jumps"])
+def test_cancellation_under_one_factor_pattern_is_reanalysed(
+        build, cancelled, plain, monkeypatch):
+    cancelling, generic = build(cancelled), build(plain)
+    dims = cancelling.space.dims
+    assert (steady._pattern_key(_kron_terms(cancelling), dims)
+            == steady._pattern_key(_kron_terms(generic), dims))
+    assert (sparse_superoperator(cancelling).nnz + 2
+            == sparse_superoperator(generic).nnz)
+    cold = {}
+    for L in (cancelling, generic):
+        steady._analyses.clear()
+        cold[L] = _report_bytes(solve_steady(L))
+    calls = _counting_analyse(monkeypatch)
+    for first, second in ((cancelling, generic), (generic, cancelling)):
+        steady._analyses.clear()
+        del calls[:]
+        for L in (first, second):
+            assert _report_bytes(solve_steady(L)) == cold[L]
+        # the second solve finds the first's analysis and rejects it:
+        # a value that sums to zero, or a dropped group that does not
+        assert len(calls) == 2 and len(steady._analyses) == 1
+
+
 def test_degeneracy_survives_cache_hit(monkeypatch):
     sp1 = hb.space(hb.spin())
     sm, splus, sz = hb.mk_spin_ops(hb.spin())
@@ -439,8 +540,7 @@ def test_degeneracy_survives_cache_hit(monkeypatch):
 
 def test_analysis_cache_is_bounded(monkeypatch):
     models = [_small_model(n) for n in range(2, 9)]
-    sizes = [_analyse(sparse_superoperator(bm.L), bm.L.space.dims).nbytes
-             for bm in models]
+    sizes = [_analysed(bm.L)[0].nbytes for bm in models]
     bound = sum(sizes[-3:]) - 1                 # the last three do not fit
     monkeypatch.setattr(steady, "_CACHE_BYTES", bound)
     steady._analyses.clear()
@@ -448,8 +548,7 @@ def test_analysis_cache_is_bounded(monkeypatch):
         solve_steady(bm.L)
         assert sum(an.nbytes for an in steady._analyses.values()) <= bound
         # the most recent entry survives
-        key = steady._pattern_key(sparse_superoperator(bm.L),
-                                  bm.L.space.dims)
+        key = steady._pattern_key(_kron_terms(bm.L), bm.L.space.dims)
         assert next(reversed(steady._analyses)) == key
     assert len(steady._analyses) < len(models)
     for an in steady._analyses.values():
@@ -459,8 +558,7 @@ def test_analysis_cache_is_bounded(monkeypatch):
                 a[0] = 0
     # an analysis above the bound is not kept and evicts nothing
     big = _small_model(20)
-    assert _analyse(sparse_superoperator(big.L), big.L.space.dims).nbytes \
-        > bound
+    assert _analysed(big.L)[0].nbytes > bound
     before = list(steady._analyses)
     solve_steady(big.L)
     assert list(steady._analyses) == before
@@ -471,7 +569,7 @@ def _with_spectrum(w):
     # diagonal blocks of the d=4 two-spin block, and its analysis
     bm = build_model(ModelConfig(model="two_spins", omega=1.0, gamma_A=1.0,
                                  gamma_B=0.7, s_A=0.8, s_B=0.6, Omega=0.5))
-    an = _analyse(sparse_superoperator(bm.L), bm.L.space.dims)
+    an, vals = _analysed(bm.L)
     assert [p.shape for p in an.parts] == [(2, 2, 2)]
     rng = np.random.default_rng(5)
     raw = np.zeros(16, dtype=complex)
@@ -481,12 +579,12 @@ def _with_spectrum(w):
         raw[p] = (U * part_w) @ U.conj().T
     raw = raw.reshape(4, 4, order="F")
     assert np.allclose(np.linalg.eigvalsh(raw), np.sort(w), atol=1e-15)
-    return bm.L, raw, an
+    return bm.L, raw, an, vals
 
 
 def test_postprocess_clips_small_negative_eigenvalue():
-    L, raw, an = _with_spectrum([0.3, 0.4 + 1e-12, 0.3, -1e-12])
-    rep = _postprocess(L, raw, an)
+    L, raw, an, vals = _with_spectrum([0.3, 0.4 + 1e-12, 0.3, -1e-12])
+    rep = _postprocess(L, raw, an, vals)
     assert rep.clipped_weight == pytest.approx(1e-12, rel=1e-3)
     rho = rep.rho_st.entries
     assert np.abs(rho - rho.conj().T).max() <= 1e-15
@@ -495,9 +593,9 @@ def test_postprocess_clips_small_negative_eigenvalue():
 
 
 def test_postprocess_aborts_on_large_negative_eigenvalue():
-    L, raw, an = _with_spectrum([0.3, 0.4 + 1e-6, 0.3, -1e-6])
+    L, raw, an, vals = _with_spectrum([0.3, 0.4 + 1e-6, 0.3, -1e-6])
     with pytest.raises(RuntimeError, match="likely truncation failure"):
-        _postprocess(L, raw, an)
+        _postprocess(L, raw, an, vals)
 
 
 def _dense_postprocess(L, raw):
@@ -528,9 +626,9 @@ RESIDUAL_ULPS = 8
 EPS = np.finfo(float).eps
 
 
-def _assert_matches_dense(L, raw, an):
+def _assert_matches_dense(L, raw, an, vals):
     low, clipped, residual, rho = _dense_postprocess(L, raw)
-    rep = _postprocess(L, raw, an)
+    rep = _postprocess(L, raw, an, vals)
     tr = np.trace(raw).real
     assert abs(_part_min_eigenvalue(raw, an) / tr - low) <= 1e-15
     assert abs(rep.clipped_weight - clipped) <= 1e-15
@@ -584,12 +682,12 @@ def test_random_configs_keep_a_marginal(raw):
               n_trunc=7))
 def test_blockwise_postprocess_matches_dense(raw):
     bm = build_model(raw)
-    an = _analyse(sparse_superoperator(bm.L), bm.L.space.dims)
+    an, vals = _analysed(bm.L)
     assert not an.partial
     rho = model_steady(bm).rho_st.entries
-    _assert_matches_dense(bm.L, rho, an)
+    _assert_matches_dense(bm.L, rho, an, vals)
     # a clip on a filled block keeps the state on its parts
-    rep = _assert_matches_dense(bm.L, _shifted(rho, an), an)
+    rep = _assert_matches_dense(bm.L, _shifted(rho, an), an, vals)
     assert rep.clipped_weight >= 1e-10 * (1 - 1e-6)
 
 
@@ -604,13 +702,14 @@ def test_clip_on_partial_block_takes_whole_matrix_residual():
     L = Liouvillian(spc, hb.Operator(spc, np.zeros((3, 3), complex)),
                     [LindbladTerm(hb.Operator(spc, J1), 1.0),
                      LindbladTerm(hb.Operator(spc, J2), 1.0)])
-    an = _analyse(sparse_superoperator(L), (3,))
+    an, vals = _analysed(L)
     assert an.partial and an.block.size == 7
     rep = solve_steady(L)
     assert rep.residual <= 1e-12 and not rep.degenerate
-    rep = _assert_matches_dense(L, rep.rho_st.entries, an)
+    rep = _assert_matches_dense(L, rep.rho_st.entries, an, vals)
     assert rep.clipped_weight == 0.0
-    rep = _assert_matches_dense(L, _shifted(rep.rho_st.entries, an), an)
+    rep = _assert_matches_dense(L, _shifted(rep.rho_st.entries, an), an,
+                                vals)
     assert rep.clipped_weight > 0.0
     # the clipped state has left the block's pairs
     vec = rep.rho_st.entries.reshape(-1, order="F")
