@@ -211,7 +211,7 @@ def _drift(H: np.ndarray, terms, jumps) -> np.ndarray:
     cost follows the pairs (one per nonzero for a ladder operator), not
     d^3, and never exceeds the nnz^2 entries of the jump's own kron
     block.  The pairs of all jumps are found in one pass, keyed by
-    (jump, row); the terms are subtracted in jump order.
+    (jump, row), and added into ``-i H`` at their entries, in jump order.
     """
     n, d = len(jumps), H.shape[0]
     q = np.repeat(np.arange(n, dtype=np.int32), [J[2].size for J in jumps])
@@ -227,11 +227,9 @@ def _drift(H: np.ndarray, terms, jumps) -> np.ndarray:
     i = np.repeat(np.arange(key.size), count)
     j = np.arange(i.size) + np.repeat(first - (np.cumsum(count) - count),
                                       count)
-    G = np.zeros(n * d * d, dtype=complex)
-    np.add.at(G, (q[i] * d + c[i]) * d + c[j], v[i].conj() * v[j])
+    rate = np.array([t.rate for t in terms], dtype=float)
     K = -1j * H
-    for t, JdJ in zip(terms, G.reshape(n, d, d)):
-        K = K - 0.5 * t.rate * JdJ
+    np.add.at(K, (c[i], c[j]), -0.5 * rate[q[i]] * v[i].conj() * v[j])
     return K
 
 

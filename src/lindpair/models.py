@@ -141,10 +141,11 @@ def parse_config(source) -> ModelConfig:
     """
     if isinstance(source, ModelConfig):
         return source
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        data = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
+    # text that opens a JSON object or array is inline JSON, not a path
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         data = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        data = json.loads(Path(source).read_text())
     else:
         data = dict(source)
     if not isinstance(data, dict):

@@ -8,28 +8,28 @@ lies in the block that holds the diagonal (sector 0 for every coupled
 model, smaller when the pair decouples).  The block is a connected
 component of the superoperator's pattern, found by a breadth-first
 search from the first diagonal index and read straight off its CSR
-arrays; one of its rows is replaced by the trace condition and the
-system, built as one CSC matrix, is factorised with a sparse LU.  The
-block's unknowns are matrix elements (i, j) on the lattice of the
-factor levels of i and j, so they are numbered by nested dissection
-of that lattice (George, SIAM J. Numer. Anal. 10, 345 (1973)), which
-fills the factors far less than SuperLU's default column order;
-SuperLU keeps that order in its symmetric mode and leaves the
-diagonal only for a pivot below 0.1 of its column (threshold
-pivoting), so the order sets the cost and never the answer.  The
-trace row, numbered last, carries a power-of-two weight some 2**20
-below the smallest diagonal of its columns, so the pivot search never
-takes it early; weighted at the block's largest entry, it is swapped
-in at the first columns and joins every diagonal unknown into one
-dense clique.  Entries SuperLU stores for L and U, weight at the
-largest entry -> power-of-two weight (the latter is the fill of the
-unpivoted dissection order):
+arrays; its last row, the first diagonal's, is replaced by the trace
+condition.  The block's unknowns are matrix elements (i, j) on the
+lattice of the factor levels of i and j, so they are numbered by
+nested dissection of that lattice (George, SIAM J. Numer. Anal. 10,
+345 (1973)), which fills the factors far less than SuperLU's default
+column order.  SuperLU pivots down each column, so it factors the
+system's transpose, which the block's canonical CSR arrays are when
+read as CSC, and solves with it transposed (Li, ACM Trans. Math.
+Softw. 31, 302 (2005)): the trace is the transpose's last column,
+eliminated last whatever its weight, and the pivot search runs along
+the system's rows.  In symmetric mode with threshold pivoting SuperLU
+keeps the order and leaves a diagonal only for one below 0.1 of its
+row's largest entry, so the order sets the cost and never the answer.
+Entries SuperLU stores for L and U, the fill of the unpivoted
+dissection order (a trace eliminated first joins every diagonal
+unknown into one dense clique: 4,399,655 entries at d=256):
 
-    spin-oscillator d=90 (n_trunc 45)      367,581 ->   325,026
-    optomechanical (12, 15)                533,114 ->   427,138
-    optomechanical (10, 12)                207,359 ->   168,013
-    spin-oscillator d=256 (n_trunc 128)  4,399,655 -> 3,933,896
-    optomechanical (12, 15), uncoupled       8,686 ->     3,856
+    spin-oscillator d=90 (n_trunc 45)        324,982
+    optomechanical (12, 15)                  427,138
+    optomechanical (10, 12)                  168,013
+    spin-oscillator d=256 (n_trunc 128)    3,933,896
+    optomechanical (12, 15), uncoupled         3,849
 
 The state is supported on the block's pairs (i, j), whose levels
 split it into diagonal blocks (15 x 15 ones at optomechanical
@@ -59,7 +59,7 @@ import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import exp, factorial, frexp, ldexp, lgamma, pi, prod, sqrt
+from math import exp, factorial, lgamma, pi, prod, sqrt
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,8 +86,6 @@ __all__ = [
 COEFF_EXACT_CAP = 25
 # Largest box of the steady block left uncut by the dissection order.
 _LEAF = 16
-# Lowest diagonal, relative to the largest, that sets the trace weight.
-_DIAG_FLOOR = 2.0 ** -40
 
 
 @dataclass
@@ -141,11 +139,10 @@ def _postprocess(L: Liouvillian, raw: np.ndarray, an: _Analysis,
     eigenvalues, the clip and the residual's trace norm, with one
     LAPACK call per part size.  The residual ``S vec(rho)`` comes from
     the block's own CSR rows with the values ``vals``: the block is a
-    closed component of ``S``, so no other row of ``S`` meets the state,
-    and SciPy's kernel sums each row in ``S``'s order, which gives the
-    bytes of ``L.apply``.  Only a clip on a block that leaves holes in
-    its parts' squares (``an.partial``) can move the state off the
-    block, and then the residual is ``L.apply`` on the whole matrix.
+    closed component of ``S``, so no other row of ``S`` meets the
+    state.  Only a clip on a block that leaves holes in its parts'
+    squares (``an.partial``) can move the state off the block, and then
+    the residual is ``L.apply`` on the whole matrix.
     """
     # column-major like vec, so that flat is a view of rho
     rho = np.add(raw, raw.conj().T, order="F")
@@ -222,10 +219,9 @@ def _dissection_order(block: np.ndarray, dims: tuple) -> np.ndarray:
     The boxes of one level are cut together, with no recursion.  The
     first element, the first diagonal index, goes last: its row
     becomes the trace row, and eliminating it early would join every
-    diagonal unknown into one dense clique.  The small weight of the
-    trace row (``_system``) keeps threshold pivoting from doing so.
-    The order only sets the fill; any permutation gives the same
-    solution.
+    diagonal unknown into one dense clique.  As the last column of the
+    factored transpose (``_system``) it is eliminated last.  The order
+    only sets the fill; any permutation gives the same solution.
     """
     rest = block[1:]
     if block.size <= _LEAF:
@@ -264,37 +260,30 @@ class _Analysis:
     """The symbolic part of a steady solve, set by the pattern of ``S``.
 
     ``block`` holds the vec indices of the unknowns in solve order and
-    ``degenerate`` the search's flag.  The block's values are numbered
-    row-major in block coordinates, each row in ``S``'s column order;
-    ``rptr`` and ``rcols`` are the block's CSR row pointers and columns
-    in that numbering.  The trace-augmented system is the CSC matrix
-    with row ``indices`` and column pointers ``indptr`` whose values are
-    the block's, with the trace weight appended, taken at ``gather``; a
-    slot equal to ``rcols.size`` is a trace-row slot.  ``tdiag`` are the
-    slots of the diagonal entries of the trace row's columns, its own
-    column excluded; they set the weight.  ``parts`` splits the state
-    into diagonal blocks: one stack of vec indices ``(m, k, k)`` per
-    part size k, the ``[r, c]`` entry of a part with levels ``a`` at
-    ``a[c] d + a[r]``.  ``partial`` is set when the block does not fill
-    its parts' squares.
+    ``degenerate`` the search's flag.  ``rptr`` and ``rcols`` are the
+    block's canonical CSR row pointers and columns in block coordinates,
+    its values numbered in that order.  ``indices`` are those columns
+    with the last row's, the first diagonal's, replaced by the columns
+    of the trace row: with ``rptr`` ending at ``indices.size``, the
+    system's CSR arrays, or the CSC arrays of its transpose.  ``parts``
+    splits the state into diagonal blocks: one stack of vec indices
+    ``(m, k, k)`` per part size k, the ``[r, c]`` entry of a part with
+    levels ``a`` at ``a[c] d + a[r]``.  ``partial`` is set when the block
+    does not fill its parts' squares.
 
     ``pairs`` maps the kron terms of ``S`` (``_kron_terms``) onto the
     block: per term, the indices ``p`` and ``q`` of the left and right
     factor nonzeros whose product lands in a row or a column of the
-    block, the group ``g`` it lands in, and the number ``f`` of leading
-    pairs that open their group.  Groups below ``rcols.size`` are the
-    block's values; the other ``groups - rcols.size`` summed to exactly
-    zero and are not stored in ``S``.
+    block, and the group ``g`` it lands in.  Groups below ``rcols.size``
+    are the block's values; the other ``groups - rcols.size`` summed to
+    exactly zero and are not stored in ``S``.
     """
 
     block: np.ndarray
     degenerate: bool
     rptr: np.ndarray
     rcols: np.ndarray
-    gather: np.ndarray
     indices: np.ndarray
-    indptr: np.ndarray
-    tdiag: np.ndarray
     parts: tuple
     partial: bool
     pairs: tuple
@@ -302,9 +291,8 @@ class _Analysis:
 
     @property
     def arrays(self) -> tuple:
-        return (self.block, self.rptr, self.rcols, self.gather, self.indices,
-                self.indptr, self.tdiag) + self.parts + tuple(
-                    a for p, q, g, _ in self.pairs for a in (p, q, g))
+        return ((self.block, self.rptr, self.rcols, self.indices)
+                + self.parts + sum(self.pairs, ()))
 
     @property
     def nbytes(self) -> int:
@@ -362,9 +350,9 @@ def _term_pairs(ra, rb, i, k, d: int):
 
 
 def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
-               row: np.ndarray, vcol: np.ndarray) -> tuple[tuple, int]:
-    """``_Analysis.pairs`` and ``groups`` for the block's values, at
-    block rows ``row`` and vec columns ``vcol``.
+               row: np.ndarray, col: np.ndarray) -> tuple[tuple, int]:
+    """``_Analysis.pairs`` and ``groups`` for the block's values at the
+    canonical block rows ``row`` and columns ``col``.
 
     Each term's products in the block's rows are enumerated
     (``_term_pairs``); one lands in the value of its row and column or,
@@ -372,19 +360,19 @@ def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
     column), numbered after the values.  So do products in the block's
     columns from rows outside it, which the block's columns take only
     if they take more products than its rows give them.  Each term
-    holds one pair per group at most, so a group sums its terms left to
-    right, in ``S``'s triplet order: the first term sets it and later
-    ones add to it.
+    holds one pair per group at most.
     """
-    dd = d * d
-    # the values' keys, ascending, and one past every key
-    rkeys = np.append(row * np.int64(dd) + vcol, np.iinfo(np.int64).max)
+    dd, n = d * d, block.size
+    # the values' keys, ascending, and one past every key; with the
+    # stride n + 1 a column outside the block (local -1) keys as the
+    # unused column n of the row before, which matches no value
+    rkeys = np.append(row * np.int64(n + 1) + col, np.iinfo(np.int64).max)
     i, k = np.divmod(block, d)
     found = []
     for _, (ra, ca, _), (rb, cb, _) in terms:
         t, p, q = _term_pairs(ra, rb, i, k, d)
         c = ca[p] * d + cb[q]
-        key = t * np.int64(dd) + c
+        key = t * np.int64(n + 1) + local[c]
         g = np.searchsorted(rkeys, key).astype(np.int32)
         cut = rkeys[g] != key
         gone = block[t[cut]] * np.int64(dd) + c[cut]
@@ -406,18 +394,9 @@ def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
                                    + ca[pc] * d + cb[qc]])
         found.append((p, q, g, cut, gone))
     gone = np.unique(np.concatenate([f[4] for f in found]))
-    groups = row.size + gone.size
-    opened = np.zeros(groups, dtype=bool)
-    pairs = []
-    for p, q, g, cut, key in found:
+    for _, _, g, cut, key in found:
         g[cut] = row.size + np.searchsorted(gone, key)
-        first = ~opened[g]
-        opened[g] = True
-        if not first.all():
-            p, q, g = (np.concatenate([a[first], a[~first]])
-                       for a in (p, q, g))
-        pairs.append((p, q, g, int(first.sum())))
-    return tuple(pairs), groups
+    return tuple(f[:3] for f in found), row.size + gone.size
 
 
 def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
@@ -427,39 +406,26 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
     The block is found and ordered (``_trace_block``,
     ``_dissection_order``) and read off the CSR arrays
     (``block_triplets``); a connected component of the pattern is
-    closed, so no column falls outside.  Its last row, the first
-    diagonal's, gives way to the trace row, and the triplets are laid
-    out in CSC order: a stable sort by column keeps each column's rows
-    ascending, so the arrays are canonical and equal to those of the
-    COO -> CSC conversion.  The state's diagonal blocks come from
-    ``_parts`` and the map from the terms onto the block's values from
-    ``_value_map``.  Every array is read-only.
+    closed, so no column falls outside.  Each row's columns are sorted,
+    so that the block's CSR arrays, and the system's, are canonical.
+    The state's diagonal blocks come from ``_parts`` and the map from
+    the terms onto the block's values from ``_value_map``.  Every array
+    is read-only.
     """
     d = prod(dims)
     block, degenerate = _trace_block(S, d)
     block = _dissection_order(block, dims)
     n = block.size
-    row, col, at, local = block_triplets(S, block)
-    t = local[trace_row_indices(d)]
-    t = t[t >= 0]
-    lo = np.searchsorted(row, n - 1)
-    is_t = np.zeros(n, dtype=bool)
-    is_t[t] = True
-    tdiag = np.flatnonzero((row[:lo] == col[:lo]) & is_t[col[:lo]])
+    row, col, _, local = block_triplets(S, block)
+    col = col[np.lexsort((col, row))]
     rptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(row, minlength=n), out=rptr[1:])
-    rcols = col
-    col = np.concatenate([col[:lo], t])
-    order = np.argsort(col, kind="stable")
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(col, minlength=n), out=indptr[1:])
+    t = local[trace_row_indices(d)]
     an = _Analysis(
-        block, degenerate, rptr, rcols,
-        np.concatenate([np.arange(lo, dtype=np.int32),
-                        np.full(t.size, at.size, np.int32)])[order],
-        np.concatenate([row[:lo], np.full(t.size, n - 1, np.int32)])[order],
-        indptr, tdiag.astype(np.int32), *_parts(block, d, np.int32),
-        *_value_map(terms, d, block, local, row, S.indices[at]))
+        block, degenerate, rptr, col,
+        np.concatenate([col[:rptr[-2]], np.sort(t[t >= 0])]),
+        *_parts(block, d, np.int32),
+        *_value_map(terms, d, block, local, row, col))
     for a in an.arrays:
         a.flags.writeable = False
     return an
@@ -468,60 +434,40 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
 def _block_values(terms, an: _Analysis) -> tuple[np.ndarray, bool]:
     """The block's values from the kron terms, and whether they are exact.
 
-    Each product is formed as ``S``'s assembly forms it and each group
-    is summed left to right in its triplet order, as SciPy sums the
-    duplicates of a row of at most 16 triplets; a longer row it sorts
-    unstably, which matters only for a group of three products or more.
-    The models' groups hold at most two, which commute, so their values
-    are bitwise those of ``S``.  The values are exact for ``an``, the
-    pattern being unchanged, when no value sums to zero and every group
-    that ``S`` dropped still does.
+    Each group is summed from zero, term by term; a term puts at most
+    one product in a group, so one fancy-indexed add takes them all.
+    The values are exact for ``an``, the pattern being unchanged, when
+    no value sums to zero and every group that ``S`` dropped still does.
     """
-    out = np.empty(an.groups, dtype=complex)
-    for (rate, (_, _, va), (_, _, vb)), (p, q, g, f) in zip(terms, an.pairs):
-        x = va[p] * vb[q]
-        x *= rate
-        out[g[:f]] = x[:f]
-        out[g[f:]] += x[f:]
+    out = np.zeros(an.groups, dtype=complex)
+    for (rate, (_, _, va), (_, _, vb)), (p, q, g) in zip(terms, an.pairs):
+        out[g] += va[p] * vb[q] * rate
     vals = out[:an.rcols.size]
     return vals, bool(vals.all()) and not out[vals.size:].any()
 
 
 def _system(vals: np.ndarray, an: _Analysis):
-    """The trace-augmented block system with values ``vals`` and its
-    trace weight.
+    """The transpose of the trace-augmented block system with values
+    ``vals``, as CSC, and the trace weight ``w = max(1, max|vals|)``,
+    which the trace row and the right-hand side carry.
 
-    The weight ``w`` of the trace row and the right-hand side is the
-    power of two ``2**(floor(log2 m) - 20)``, with ``m`` the smallest
-    |diagonal entry| among the trace row's other columns, floored at
-    ``_DIAG_FLOOR`` times the largest so that ``w`` stays far from
-    underflow (1 without any).  Threshold pivoting then never takes the
-    trace row before its own column, last in the order, unless a
-    diagonal is well below the rest of its column, and scaling a row by
-    a power of two is exact: the weight changes the pivots, not the
-    arithmetic.  A weight above the first columns' diagonals, such as
-    the block's largest |entry|, has the trace row pivoted in at column
-    0 or 1, and the factors fill by up to a quarter more (module
-    docstring).
+    The block's CSR rows, the last one the trace row, read as CSC give
+    the transpose, so the trace is its last column.
     """
-    ext = np.empty(vals.size + 1, dtype=complex)
-    ext[:-1] = vals
-    w = 1.0
-    if an.tdiag.size:
-        v = np.abs(vals[an.tdiag])
-        w = ldexp(1.0, frexp(max(v.min(), v.max() * _DIAG_FLOOR))[1] - 21)
-    ext[-1] = w
-    n = an.block.size
-    return sp.csc_matrix((ext[an.gather], an.indices, an.indptr),
-                         shape=(n, n)), w
+    n, lo = an.block.size, an.rptr[-2]
+    w = np.abs(vals).max(initial=1.0)
+    indptr = an.rptr.copy()
+    indptr[-1] = an.indices.size
+    data = np.concatenate([vals[:lo], np.full(indptr[-1] - lo, w)])
+    return sp.csc_matrix((data, an.indices, indptr), shape=(n, n)), w
 
 
 # Bytes of symbolic analyses kept between solves.  One pass of the
 # benchmark's steady sweep (102 solves, 10 patterns, blocks of 4 to
-# 4,050 unknowns) keeps 3.9 MB; one spin-oscillator analysis takes
-# 7.2 MB at d=256 (32,768 unknowns) and 28.7 MB at d=512 (131,072), half
-# of it the map from the factors onto the block's values, so the bound
-# holds a whole sweep next to one d=512 analysis, ~5% of the peak
+# 4,050 unknowns) keeps 3.3 MB; one spin-oscillator analysis takes
+# 6.0 MB at d=256 (32,768 unknowns) and 24.0 MB at d=512 (131,072),
+# 60% of it the map from the factors onto the block's values, so the
+# bound holds a whole sweep next to one d=512 analysis, ~5% of the peak
 # memory of a d=512 solve.
 _CACHE_BYTES = 32 << 20
 _analyses: OrderedDict = OrderedDict()
@@ -580,37 +526,34 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     lattice (``_dissection_order``) and read straight off the CSR
     arrays of ``S``.  It is solved square and direct: the row of its
     first diagonal index, numbered last, gives way to the trace
-    functional, and the system, built as one CSC matrix, goes through
-    ``splu`` in that order, in symmetric mode with threshold pivoting
-    (a diagonal pivot is kept unless below 0.1 of its column).  The
-    trace row and right-hand side carry a power of two well below the
-    diagonals of the row's columns (``_system``), so that row is
-    pivoted last unless one of those diagonals vanishes, as for a spin
-    at s = 1 (rho_00 = 0); the weight changes the pivots, never the
-    solution.  A steady-state space of dimension above one is flagged,
-    with a RuntimeWarning, when the search from the first diagonal
-    index misses another, or the factorisation is exactly singular;
-    one solution is still returned, by least squares (``lsqr``) on the
-    same trace-augmented system, its trace row and right-hand side
-    reweighted to the block's largest entry.  The state is hermitized,
-    and eigenvalues in [-1e-8, 0) are clipped to zero with
-    renormalization; anything more negative aborts.  Those eigenvalues,
-    the clip and the residual are taken on the state's diagonal blocks
-    (``_postprocess``), not on the d x d matrix, the residual from the
-    block's own rows.
+    functional, weighted as the right-hand side to ``max(1, max|S|)``
+    on the block (``_system``).  The system's transpose, the block's
+    CSR arrays read as CSC, goes through ``splu`` in that order, in
+    symmetric mode with threshold pivoting (a diagonal pivot is kept
+    unless below 0.1 of its system row), and is solved transposed: the
+    trace, its last column, is eliminated last, and a diagonal leaves
+    its place only where it is small against its row, as for a spin at
+    s = 1 (rho_00 = 0).  A steady-state space of dimension above one is
+    flagged, with a RuntimeWarning, when the search from the first
+    diagonal index misses another, or the factorisation is exactly
+    singular; one solution is still returned, by least squares
+    (``lsqr``) on the same system.  The state is hermitized, and
+    eigenvalues in [-1e-8, 0) are clipped to zero with renormalization;
+    anything more negative aborts.  Those eigenvalues, the clip and the
+    residual are taken on the state's diagonal blocks (``_postprocess``),
+    not on the d x d matrix, the residual from the block's own rows.
 
     ``S`` is the sum of kron terms of the drift and the jumps
     (``_kron_terms``), so its pattern is set, up to exact
     cancellations, by the patterns of those factors.  Everything up to
     the values is kept per factor pattern in a module cache (at most
     ``_CACHE_BYTES``, least recently used out first): the block, its
-    order, the degeneracy flag, the CSC index arrays, the diagonal
-    slots that set the weight, the state's diagonal blocks, and the map
-    from the factors' nonzeros onto the block's values.  A sweep that
-    changes only the values of the generator, a coupling or a rate,
-    assembles and analyses ``S`` once per pattern; every other solve
-    forms only the block's values from the factors and never builds
-    ``S``.  Those values are used only when the pattern of ``S`` is
+    order, the degeneracy flag, the block's CSR arrays and the system's
+    columns, the state's diagonal blocks, and the map from the factors'
+    nonzeros onto the block's values.  A sweep that changes only the
+    values of the generator, a coupling or a rate, assembles and
+    analyses ``S`` once per pattern; every other solve forms only the
+    block's values from the factors and never builds ``S``.  Those values are used only when the pattern of ``S`` is
     provably the same: no value sums to exactly zero, and every product
     group that cancelled in ``S`` still does; otherwise the pattern is
     analysed afresh.  The values, the LU and the postprocess run on
@@ -624,19 +567,19 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     b = np.zeros(n, dtype=complex)
     b[-1] = w
     try:
-        # threshold pivoting in symmetric mode keeps the dissection
-        # order unless a diagonal pivot is below 0.1 of its column
+        # A is the transpose: threshold pivoting in symmetric mode keeps
+        # the dissection order unless a diagonal pivot is below 0.1 of
+        # its system row, and the trace, A's last column, goes last
         lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
                        options=dict(SymmetricMode=True))
-        x, fill = lu.solve(b), lu.nnz
+        x, fill = lu.solve(b, trans="T"), lu.nnz
     except RuntimeError:
         # exactly singular: a second steady state inside the block; least
-        # squares on the same system, its trace row weighted to the
-        # block's own size.  No equation is lost: trace preservation
-        # makes the replaced row minus the sum of the other diagonal rows
+        # squares on the same system.  No equation is lost: trace
+        # preservation makes the replaced row minus the sum of the other
+        # diagonal rows
         degenerate = True
-        A.data[A.indices == n - 1] = b[-1] = max(1.0, np.abs(vals).max())
-        x = spla.lsqr(A, b, atol=1e-12, btol=1e-12)[0]
+        x = spla.lsqr(A.T, b, atol=1e-12, btol=1e-12)[0]
         fill = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x

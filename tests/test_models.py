@@ -39,6 +39,10 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"omega": 1.0})
     with pytest.raises(ValueError, match="unknown model"):
         parse_config(dict(TWO_SPINS, model="three_spins"))
+    # inline JSON that is not an object, read as text and not as a path
+    for text in ("[1, 2]", "  []", "[" + json.dumps(TWO_SPINS) + "]"):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            parse_config(text)
 
 
 def test_required_and_irrelevant_fields():

@@ -169,8 +169,8 @@ def _production_lu(vals, an, thresh=0.1):
 ], ids=["so-s0-n0", "so-s0-n.5", "so-s.5-n0", "so-s.5-n.5",
         "om", "om-uncoupled", "om-n0-m0", "two_spins"])
 def test_trace_row_is_pivoted_last(raw):
-    # the small power-of-two weight keeps the trace row out of the
-    # pivot search, so SuperLU factors the dissection order unpivoted
+    # SuperLU factors the system's transpose, whose last column is the
+    # trace row, so it keeps the dissection order unpivoted
     bm = build_model(raw)
     an, vals = _analysed(bm.L)
     n = an.block.size
@@ -184,7 +184,7 @@ def test_trace_row_is_pivoted_last(raw):
     dict(_SO45, s=1.0, n_trunc=15),
 ], ids=["two_spins", "spin_oscillator"])
 def test_trace_row_swapped_in_when_ground_population_vanishes(raw):
-    # at s = 1, rho_00 = 0: the trace row must take another row's place
+    # at s = 1, rho_00 = 0: SuperLU must pivot off a diagonal
     bm = build_model(raw)
     an, vals = _analysed(bm.L)
     if raw["model"] == "spin_oscillator":
@@ -201,8 +201,12 @@ def test_trace_row_swapped_in_when_ground_population_vanishes(raw):
     dict(_SO45, s=1e-300, nbar=1e-300, n_trunc=8),
 ], ids=["two_spins-A", "two_spins-B", "spin_oscillator"])
 def test_subnormal_diagonal_keeps_trace_weight_normal(raw, recwarn):
-    # a diagonal near underflow must not drag the trace weight there
+    # diagonals near underflow: the trace weight stays a normal number,
+    # no warning, and the state keeps its residual and A's marginal
     bm = build_model(raw)
+    an, vals = _analysed(bm.L)
+    w = _system(vals, an)[1]
+    assert w >= 1.0 and np.isfinite(w)
     rep = model_steady(bm)
     assert not rep.degenerate and not recwarn.list
     assert rep.residual <= 1e-9
@@ -337,31 +341,30 @@ def test_block_read_off_csr_matches_slicing():
 
 @pytest.mark.parametrize("n_trunc", [2, 6])
 def test_analysis_system_is_canonical_csc(n_trunc):
-    # the cached CSC arrays and gather, with the values formed from the
-    # kron terms, give bitwise the canonical COO -> CSC conversion of
-    # the block of S with its last row replaced by the trace row
+    # the cached index arrays, with the values formed from the kron
+    # terms, are canonical CSC, so splu never sorts the read-only
+    # arrays; transposed, they give bitwise the canonical COO -> CSR
+    # conversion of the block of S with its last row replaced by the
+    # trace row, at the lsqr fallback's weight
     bm = _small_model(n_trunc)
     d, S = bm.L.dim, sparse_superoperator(bm.L)
     an, vals = _analysed(bm.L)
     A, w = _system(vals, an)
+    assert A.has_canonical_format
     n = an.block.size
     row, col, at, local = block_triplets(S, an.block)
     val = S.data[at]
+    assert w == max(1.0, np.abs(val).max())
     t = local[trace_row_indices(d)]
     t = t[t >= 0]
     keep = row < n - 1
-    # the weight: a power of two 2**20 to 2**21 below the smallest
-    # |diagonal| of the trace row's other columns
-    diag = np.abs(val[keep & (row == col) & np.isin(col, t)])
-    m = max(diag.min(), diag.max() * 2.0 ** -40)
-    assert w == 2.0 ** (np.floor(np.log2(m)) - 20)
-    assert m / 2.0 ** 21 < w <= m / 2.0 ** 20
-    B = sp.csc_matrix(
+    B = sp.csr_matrix(
         (np.concatenate([val[keep], np.full(t.size, w, dtype=complex)]),
          (np.concatenate([row[keep], np.full(t.size, n - 1)]),
           np.concatenate([col[keep], t]))), shape=(n, n))
-    for x, y in ((A.indptr, B.indptr), (A.indices, B.indices),
-                 (A.data, B.data)):
+    AT = A.T
+    for x, y in ((AT.indptr, B.indptr), (AT.indices, B.indices),
+                 (AT.data, B.data)):
         assert np.array_equal(x, y)
 
 
