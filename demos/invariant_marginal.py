@@ -7,17 +7,14 @@ import numpy as np
 
 from lindpair import build_model, model_steady, parse_config, partial_trace
 from lindpair.evolve import trace_norm
-from lindpair.hilbert import Operator
 
 
 def marginal_distances(cfg):
     """Solve the composite steady state and return both marginal gaps."""
     bm = build_model(cfg)
     rep = model_steady(bm)
-    rho = Operator(bm.L.space, rep.rho_st.entries)
-    nA = len(bm.a_factors)
-    redA = partial_trace(rho, tuple(range(nA)))
-    redB = partial_trace(rho, tuple(range(nA, nA + len(bm.b_factors))))
+    redA = partial_trace(rep.rho_st, bm.a_factors)
+    redB = partial_trace(rep.rho_st, bm.b_factors)
     dA = trace_norm(redA.entries - bm.analytic_A_steady)
     dB = trace_norm(redB.entries - bm.analytic_B_steady)
     return dA, dB, rep.residual

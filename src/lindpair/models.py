@@ -131,6 +131,11 @@ class ModelConfig:
                     and all(isinstance(n, int) and n >= 2 for n in trunc)):
                 raise ValueError(
                     "n_trunc must be a pair of ints >= 2 for this model")
+        truncs = self.n_trunc if n_osc == 2 else (self.n_trunc,) * n_osc
+        dim = 2 ** (2 - n_osc) * math.prod(truncs)
+        if dim > hb.MAX_DENSE_DIM:
+            raise ValueError(f"n_trunc gives composite dimension {dim}, "
+                             f"above the dense limit {hb.MAX_DENSE_DIM}")
 
 
 def parse_config(source) -> ModelConfig:

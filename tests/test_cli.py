@@ -1,6 +1,7 @@
 """End-to-end command-line runs on small models."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,10 @@ import numpy as np
 import pytest
 
 import lindpair
+from lindpair import hilbert as hb
 from lindpair.cli import _parser, _write_matrix_pair, main
+from lindpair.liouvillian import Liouvillian
+from lindpair.models import build_model
 
 TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5,
                  s_A=0.8, s_B=0.6, Omega=0.7)
@@ -95,9 +99,35 @@ def test_verify_passes(cfg_path, tmp_path):
                  "--out", str(out)]) == 0
     payload = json.loads((out / "verify.json").read_text())
     assert payload["all_pass"] is True
-    names = {c["name"] for c in payload["checks"]}
-    assert {"trace_annihilation", "steady_invariance_A",
-            "excitation_commutation"} <= names
+    checks = {c["name"]: c["value"] for c in payload["checks"]}
+    assert list(checks) == ["trace_annihilation", "hermiticity_preservation",
+                            "adjoint_pairing", "excitation_commutation",
+                            "steady_invariance_A", "steady_residual"]
+    # read off the stored entries of S, so exact for a commuting coupling
+    assert checks["excitation_commutation"] == 0.0
+
+
+def test_verify_fails_on_non_commuting_coupling(cfg_path, tmp_path,
+                                                monkeypatch):
+    # 0.3 sigma_x (b + b^dag) couples through A's lowering operator, so
+    # the generator joins sectors l and l +- 1
+    import lindpair.cli as cli
+
+    cfg = dict(SPIN_OSC, n_trunc=4)
+    bm = build_model(cfg)
+    sm = hb.mk_spin_ops(bm.L.space.factors[0])[0].entries
+    b = hb.mk_destroy(bm.L.space.factors[1]).entries
+    H = hb.Operator(bm.L.space, bm.L.hamiltonian.entries
+                    + 0.3 * np.kron(sm + sm.conj().T, b + b.conj().T))
+    L_bad = Liouvillian(bm.L.space, H, bm.L.terms)
+    monkeypatch.setattr(cli, "build_model", lambda c: dataclasses.replace(
+        build_model(c), L=L_bad))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg_path(cfg), "--out", str(out)]) == 1
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["all_pass"] is False
+    check = {c["name"]: c for c in payload["checks"]}["excitation_commutation"]
+    assert check["pass"] is False and check["value"] > 1e-2
 
 
 def test_figure_two(tmp_path):
@@ -110,14 +140,35 @@ def test_figure_two(tmp_path):
     assert np.all(np.diff(data[1:, 1]) > 0)
 
 
-def test_cli_argument_errors(cfg_path):
+def test_cli_argument_errors(cfg_path, tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["run"])  # --config is required
     with pytest.raises(SystemExit):
         main(["figure", "7"])
+    # a bad config is an argument error: exit 2, the field named, no output
     bad = dict(TWO_SPINS, gamma_A=-1.0)
-    with pytest.raises(ValueError):
-        main(["steady", "--config", cfg_path(bad), "--out", "unused"])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--config", cfg_path(bad), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "argument --config: gamma_A" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ('{"omega": 1}', "config needs a 'model' key"),
+    ("no-such-config.json", "No such file or directory: 'no-such"),
+    ('{"model": "two_spins",', "Expecting"),
+])
+def test_bad_config_exits_two(config, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--config", config, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --config: " in err and message in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -98,6 +98,17 @@ def test_n_trunc_validation():
     assert cfg.n_trunc == (4, 5)  # JSON list becomes a tuple
 
 
+def test_n_trunc_above_dense_limit_is_named():
+    # a composite dimension above MAX_DENSE_DIM fails at parse time with
+    # the field and the dimension named, not later inside the dense embed
+    assert hb.MAX_DENSE_DIM == 512
+    with pytest.raises(ValueError, match="n_trunc .* 514"):
+        parse_config(dict(SPIN_OSC, n_trunc=257))
+    with pytest.raises(ValueError, match="n_trunc .* 529"):
+        parse_config(dict(OPTOMECH, n_trunc=(23, 23)))
+    assert build_model(dict(SPIN_OSC, n_trunc=256)).L.dim == 512
+
+
 def test_build_two_spins_structure():
     bm = build_model(TWO_SPINS)
     assert isinstance(bm, BuiltModel)
