@@ -11,15 +11,15 @@ from .hilbert import (
     identity, embed, partial_trace,
 )
 from .liouvillian import (
-    LindbladTerm, Liouvillian, sparse_superoperator,
+    LindbladTerm, Liouvillian, sparse_superoperator, sector_indices,
+    sector_labels,
 )
 from .spectral import (
     SpinEigensystem, OscEigensystem,
     spin_eigensystem, osc_eigensystem, normal_ordered_fock_matrix,
 )
 from .sectors import (
-    ExcitationStructure, build_excitation_structure,
-    excitation_commutator, project_sector, sector_pair_mask,
+    ExcitationStructure, build_excitation_structure, project_sector,
     sector_decay_rate, check_decay_bound, trotter_compare,
 )
 from .steady import (

@@ -20,11 +20,10 @@ from pathlib import Path
 import numpy as np
 
 from . import hilbert as hb
-from .evolve import certify_truncation, evolve, trace_norm
-from .liouvillian import sparse_superoperator
+from .evolve import ENLARGE, certify_truncation, evolve, trace_norm
+from .liouvillian import sector_labels, sparse_superoperator
 from .models import BuiltModel, ModelConfig, build_model, model_steady, parse_config
 from .moments import steady_spin_osc_excitation
-from .sectors import sector_pair_mask
 from .spectral import spin_eigensystem
 
 
@@ -90,10 +89,9 @@ def cmd_run(args) -> int:
     t_max = args.t_max / rate
     t_grid = np.linspace(0.0, t_max, args.samples)
     obs = _observables(bm)
-    masks = {1: sector_pair_mask(bm.es, bm.L.dim, 1)}
     rec = evolve(bm.L, _default_initial(bm), t_grid, observables=obs,
                  distance_target=bm.analytic_A_steady,
-                 keep_factors=bm.a_factors, sector_masks=masks)
+                 keep_factors=bm.a_factors, sectors=[1])
     header = [f"{bm.reference_name}_t"]
     cols = [rec.times * rate]
     for name, series in rec.observables.items():
@@ -110,14 +108,24 @@ def cmd_run(args) -> int:
 
 def cmd_steady(args) -> int:
     cfg = args.config
+    if args.trunc_check:
+        def extractor(c: ModelConfig):
+            m = build_model(c)
+            r = model_steady(m)
+            red = hb.partial_trace(r.rho_st, m.b_factors).entries
+            nb = hb.mk_number(m.L.space.factors[1]).entries
+            return {"n_B": float(np.trace(nb @ red).real)}
+        try:  # first: no solve when the enlarged config is refused
+            shift = certify_truncation(cfg, extractor)
+        except ValueError as exc:
+            _parser().error(f"argument --trunc-check: re-solving at "
+                            f"n_trunc + {ENLARGE}: {exc}")
     bm = build_model(cfg)
     out = _outdir(args)
     report = model_steady(bm)
-    rho = report.rho_st.entries
-    _write_matrix_pair(out, "rho_st", rho)
-    op = report.rho_st
-    redA = hb.partial_trace(op, bm.a_factors).entries
-    redB = hb.partial_trace(op, bm.b_factors).entries
+    _write_matrix_pair(out, "rho_st", report.rho_st.entries)
+    redA = hb.partial_trace(report.rho_st, bm.a_factors).entries
+    redB = hb.partial_trace(report.rho_st, bm.b_factors).entries
     _write_matrix_pair(out, "rho_A", redA)
     _write_matrix_pair(out, "rho_B", redB)
     summary = {
@@ -130,13 +138,7 @@ def cmd_steady(args) -> int:
         "deviation_B": trace_norm(redB - bm.analytic_B_steady),
     }
     if args.trunc_check:
-        def extractor(c: ModelConfig):
-            m = build_model(c)
-            r = model_steady(m)
-            red = hb.partial_trace(r.rho_st, m.b_factors).entries
-            nb = hb.mk_number(m.L.space.factors[1]).entries
-            return {"n_B": float(np.trace(nb @ red).real)}
-        summary["truncation_shift"] = certify_truncation(cfg, extractor)
+        summary["truncation_shift"] = shift
     path = out / "steady_summary.json"
     path.write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {path}")
@@ -195,9 +197,9 @@ def cmd_verify(args) -> int:
     add("adjoint_pairing", abs(lhs - rhs) / max(1.0, abs(lhs)), 1e-10)
     # [V_A x 1, .] is diagonal on vec indices, each index's sector l its
     # eigenvalue, so L commutes with it exactly when no stored entry of
-    # S joins two sectors; |l| < d fits int16
+    # S joins two sectors; int16 labels halve the nnz-long arrays below
     S = sparse_superoperator(bm.L)
-    lab = bm.es.difference((d, d)).ravel(order="F").astype(np.int16)
+    lab = sector_labels(bm.es.space.total_dim, d).astype(np.int16)
     cross = np.repeat(lab, np.diff(S.indptr)) != lab[S.indices]
     leak = np.abs(S.data[cross]).max(initial=0.0)
     add("excitation_commutation",

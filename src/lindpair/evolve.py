@@ -3,7 +3,7 @@
 ``evolve`` integrates ``drho/dt = L(rho)`` on a sample grid and records
 requested scalar observables, the trace-norm distance of the reduced
 state of the first subsystem to a supplied target, and the norms of
-selected excitation-difference blocks.  The trace of the state is
+selected excitation-difference sector pairs.  The trace of the state is
 monitored along the way: drift beyond 1e-6 aborts the run, since it
 signals a truncation or step-size problem rather than physics.
 
@@ -18,13 +18,13 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ._integrate import integrate_adaptive
 from .hilbert import Operator, partial_trace
-from .liouvillian import Liouvillian
+from .liouvillian import Liouvillian, sector_indices
 
 __all__ = [
     "TrajectoryRecord",
@@ -83,8 +83,8 @@ class TrajectoryRecord:
     rate for plotting); ``observables`` maps names to complex series;
     ``trace_norm_distance_to_A_steady`` holds the distance of the
     reduced state of subsystem A to the supplied target, when requested;
-    ``sector_pair_norms`` maps an excitation difference ``l`` to the
-    trace norm of the corresponding +-l block pair along the trajectory.
+    ``sector_pair_norms`` maps each requested ``l >= 0`` to the trace
+    norm of the state's +-l sector pair (the rest zeroed) along it.
     ``rhs_evals`` is the number of ``L.apply`` calls the integrator made
     and ``integrate_s`` the wall seconds spent in the sample loop
     (integration and recording of samples 1 onwards).
@@ -104,7 +104,7 @@ def evolve(L: Liouvillian, rho0, t_grid,
            observables: Mapping[str, object] | None = None,
            distance_target: np.ndarray | None = None,
            keep_factors: tuple[int, ...] = (0,),
-           sector_masks: Mapping[int, np.ndarray] | None = None,
+           sectors: Sequence[int] = (),
            tol: float = 1e-10,
            store_states: bool = False) -> TrajectoryRecord:
     """Integrate the master equation over ``t_grid``.
@@ -122,8 +122,9 @@ def evolve(L: Liouvillian, rho0, t_grid,
     distance_target : ndarray, optional
         Reference reduced state; when given, the trace-norm distance of
         ``Tr_partial(rho)`` over ``keep_factors`` is recorded.
-    sector_masks : mapping, optional
-        ``l -> boolean matrix``; records ``trace_norm(rho * mask)``.
+    sectors : sequence of int, optional
+        ``l >= 0``; records the trace norm of each +-l sector pair of A,
+        the leading factor, scattered from ``sector_indices``.
     store_states : bool
         Keep every sampled density matrix (memory permitting).
     """
@@ -141,13 +142,18 @@ def evolve(L: Liouvillian, rho0, t_grid,
     obs_items = list((observables or {}).items())
     obs_mats = [np.asarray(getattr(o, "entries", o), dtype=complex)
                 for _, o in obs_items]
-    masks = {int(l): np.asarray(m, dtype=bool)
-             for l, m in (sector_masks or {}).items()}
+    d, pairs = rho.shape[0], {}
+    for l in map(int, sectors):
+        if l < 0:
+            raise ValueError(f"sector pair needs l >= 0, got l={l}")
+        part = sector_indices(L.space.factors[0].dim, d)
+        pairs[l] = np.concatenate(
+            [part.get(s, np.zeros(0, dtype=int)) for s in {l, -l}])
 
     n_samp = len(t_grid)
     obs_out = {name: np.empty(n_samp, dtype=complex) for name, _ in obs_items}
     dist_out = np.empty(n_samp) if distance_target is not None else None
-    sector_out = {l: np.empty(n_samp) for l in masks}
+    sector_out = {l: np.empty(n_samp) for l in pairs}
     states = [] if store_states else None
 
     def record(i: int, state: np.ndarray):
@@ -161,8 +167,10 @@ def evolve(L: Liouvillian, rho0, t_grid,
         if dist_out is not None:
             red = partial_trace(Operator(L.space, state), keep_factors)
             dist_out[i] = trace_norm(red.entries - distance_target)
-        for l, mask in masks.items():
-            sector_out[l][i] = trace_norm(np.where(mask, state, 0.0))
+        for l, at in pairs.items():
+            pair = np.zeros(d * d, dtype=complex)
+            pair[at] = state.reshape(-1, order="F")[at]
+            sector_out[l][i] = trace_norm(pair.reshape(d, d, order="F"))
         if states is not None:
             states.append(state.copy())
 
@@ -197,9 +205,9 @@ def certify_truncation(cfg, quantity_extractor: Callable) -> float:
 
     ``quantity_extractor(cfg)`` must return a float or a mapping of
     floats.  Every oscillator truncation in ``cfg`` is raised by
-    ``ENLARGE`` and the largest relative change is returned; values
-    below 1e-6 are considered converged.  Configurations without an
-    oscillator return 0.0.
+    ``ENLARGE`` (past the dense limit: ValueError, before any extractor
+    call) and the largest relative change is returned, converged below
+    1e-6; configurations without an oscillator return 0.0.
     """
     trunc = getattr(cfg, "n_trunc", None)
     if trunc is None:
@@ -208,8 +216,8 @@ def certify_truncation(cfg, quantity_extractor: Callable) -> float:
         bumped = trunc + ENLARGE
     else:
         bumped = tuple(int(n) + ENLARGE for n in trunc)
-    base = quantity_extractor(cfg)
-    wide = quantity_extractor(dataclasses.replace(cfg, n_trunc=bumped))
+    wide_cfg = dataclasses.replace(cfg, n_trunc=bumped)
+    base, wide = quantity_extractor(cfg), quantity_extractor(wide_cfg)
     if not isinstance(base, Mapping):
         base, wide = {"value": base}, {"value": wide}
     shift = 0.0

@@ -37,7 +37,7 @@ share a row, with no dense d^3 product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +50,8 @@ __all__ = [
     "LindbladTerm",
     "Liouvillian",
     "block_triplets",
+    "sector_indices",
+    "sector_labels",
     "sparse_superoperator",
     "trace_row_indices",
 ]
@@ -262,6 +264,33 @@ def block_triplets(S: sp.csr_matrix, block: np.ndarray):
     local = np.full(S.shape[0], -1, dtype=np.int32)
     local[block] = np.arange(n, dtype=np.int32)
     return row, local[S.indices[at]], at, local
+
+
+@lru_cache(maxsize=8)
+def sector_labels(dA: int, d: int) -> np.ndarray:
+    """The sector of each vec index v = i + j*d, row minus column
+    excitation of A, the leading factor (``dA`` levels, k excitations at
+    level k).  int32, read-only; the last 8 (dA, d) are kept."""
+    level = np.repeat(np.arange(dA, dtype=np.int32), d // dA)
+    labels = (level - level[:, None]).ravel()   # [j, i]: level i - level j
+    labels.flags.writeable = False
+    return labels
+
+
+@lru_cache(maxsize=8)
+def sector_indices(dA: int, d: int) -> dict[int, np.ndarray]:
+    """Each sector l's vec indices in row-major (i, j) order, the order of
+    its block of ``S``; as :func:`sector_labels`.  Row i = a dB + r, of A
+    level a, meets the columns j = (a - l) dB + c, with r, c < dB."""
+    dB = d // dA
+    r = np.arange(dB, dtype=np.int32)
+    out = {}
+    for l in range(1 - dA, dA):
+        a = np.arange(max(l, 0), min(dA, dA + l), dtype=np.int32)
+        corner = a * dB + (a - l) * dB * d      # vec index of (a dB, (a-l) dB)
+        out[l] = (corner[:, None, None] + r[:, None] + r * d).ravel()
+        out[l].flags.writeable = False
+    return out
 
 
 def trace_row_indices(d: int) -> np.ndarray:

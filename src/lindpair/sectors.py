@@ -9,14 +9,14 @@ column excitation; the generator of the coupled pair commutes with this
 splitting, each sector relaxes on its own, and every l != 0 sector dies
 out at the rate ``eta_l = -|l| r / 2`` set by A's damping rate r alone.
 
-The decay bound and the split propagation are checked on that
-structure: the requested +l sectors are one block of the cached
-superoperator, rejected unless closed.  The decay bound propagates it
-exactly with ``expm_multiply``, rebuilding each +-l pair of the
-hermitian state from its +l half.
-
-All sector operations work on the flat composite index with system A as
-the leading tensor factor; the B dimension is inferred from the state.
+Every sector is read off one partition, cached per (A dimension, d):
+each vec index's label (``liouvillian.sector_labels``), on which
+``verify`` checks the commutation, and each sector's indices
+(``sector_indices``), from which ``evolve`` scatters its +-l pairs and
+the decay bound and the split propagation take the requested +l
+sectors as one closed block of the cached superoperator.  The decay
+bound propagates it exactly with ``expm_multiply``, rebuilding each
++-l pair from its +l half.  System A is the leading factor throughout.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ from scipy.sparse.linalg import expm_multiply
 
 from .evolve import HERM_BRANCH_TOL, trace_norm
 from .hilbert import Operator, SpaceSpec, SPIN
-from .liouvillian import Liouvillian, block_triplets, sparse_superoperator
+from .liouvillian import (Liouvillian, block_triplets, sector_indices,
+                          sparse_superoperator)
 
 __all__ = [
     "ExcitationStructure",
     "build_excitation_structure",
-    "excitation_commutator",
     "project_sector",
-    "sector_pair_mask",
-    "sector_vec_indices",
     "sector_decay_rate",
     "check_decay_bound",
     "DecayBoundReport",
@@ -63,20 +61,14 @@ class ExcitationStructure:
     space: SpaceSpec
     exc: np.ndarray
 
-    def composite_excitation(self, total_dim: int) -> np.ndarray:
-        """Excitation count per composite basis index (A leading)."""
-        dA = self.space.total_dim
-        if total_dim % dA != 0:
-            raise ValueError("total dimension not divisible by A dimension")
-        return np.repeat(self.exc, total_dim // dA)
-
     def difference(self, shape: tuple) -> np.ndarray:
         """The table ``v_i - v_j`` of row minus column excitation for a
-        composite state of ``shape``; its sectors are its level sets."""
-        d = shape[0]
-        if tuple(shape) != (d, d):
-            raise ValueError("state must be a square matrix")
-        v = self.composite_excitation(d)
+        composite state of ``shape`` (A leading); its sectors are its
+        level sets."""
+        d, dA = shape[0], self.space.total_dim
+        if tuple(shape) != (d, d) or d % dA:
+            raise ValueError(f"state must be square over A's {dA} levels")
+        v = np.repeat(self.exc, d // dA)
         return v[:, None] - v[None, :]
 
 
@@ -94,37 +86,10 @@ def build_excitation_structure(spaceA: SpaceSpec) -> ExcitationStructure:
     return ExcitationStructure(spaceA, np.arange(spaceA.total_dim))
 
 
-def excitation_commutator(es: ExcitationStructure, rho) -> np.ndarray:
-    """Commutator ``[VA x 1, rho]`` on the composite space.
-
-    VA is diagonal, so the commutator scales each entry by its
-    excitation difference; a block with difference l is an eigenvector
-    with eigenvalue l.
-    """
-    rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    return es.difference(rho.shape) * rho
-
-
 def project_sector(es: ExcitationStructure, rho, l: int) -> np.ndarray:
     """Keep only blocks with row excitation minus column excitation = l."""
     rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
     return np.where(es.difference(rho.shape) == l, rho, 0.0)
-
-
-def sector_pair_mask(es: ExcitationStructure, total_dim: int,
-                     l: int) -> np.ndarray:
-    """Boolean entry mask of the +-l sector pair (l >= 0) at a total dim."""
-    if l < 0:
-        raise ValueError(f"sector pair needs l >= 0, got l={l}")
-    return np.abs(es.difference((total_dim, total_dim))) == l
-
-
-def sector_vec_indices(es: ExcitationStructure, total_dim: int,
-                       l: int) -> np.ndarray:
-    """Column-stacked vec indices of sector l (row exc - col exc = l)."""
-    # vec index of entry (i, j) in column-major stacking is i + j*d
-    ii, jj = np.nonzero(es.difference((total_dim, total_dim)) == l)
-    return ii + jj * total_dim
 
 
 def sector_decay_rate(model, l: int) -> float:
@@ -164,8 +129,10 @@ def _closed_block(L: Liouvillian, es: ExcitationStructure, ls) -> tuple:
     The block must be closed: a row reaching outside it raises a
     RuntimeError naming the first sector that leaks.
     """
-    idx = [sector_vec_indices(es, L.dim, l) for l in ls]
-    block = np.concatenate([np.zeros(0, dtype=int)] + idx)
+    part = sector_indices(es.space.total_dim, L.dim)
+    empty = np.zeros(0, dtype=int)
+    idx = [part.get(l, empty) for l in ls]
+    block = np.concatenate([empty] + idx)
     S = sparse_superoperator(L)
     row, col, at, _ = block_triplets(S, block)
     leak = col < 0
@@ -176,14 +143,6 @@ def _closed_block(L: Liouvillian, es: ExcitationStructure, ls) -> tuple:
             "superoperator reach outside the requested sectors")
     return idx, block, sp.csr_matrix((S.data[at], (row, col)),
                                      shape=(block.size, block.size))
-
-
-def _pair_norm(d: int, idx: np.ndarray, x: np.ndarray) -> float:
-    """Trace norm of the +-l pair rebuilt from its +l entries as Y + Y^dag."""
-    Y = np.zeros(d * d, dtype=complex)
-    Y[idx] = x
-    Y = Y.reshape(d, d, order="F")
-    return trace_norm(Y + Y.conj().T)
 
 
 def check_decay_bound(model, rho0, t_grid,
@@ -221,7 +180,6 @@ def check_decay_bound(model, rho0, t_grid,
     ``eta_1``, with a prefactor above 1.
     """
     L: Liouvillian = model.L
-    es: ExcitationStructure = model.es
     d = L.dim
     rho0 = np.asarray(getattr(rho0, "entries", rho0), dtype=complex)
     if rho0.shape != (d, d):
@@ -240,16 +198,18 @@ def check_decay_bound(model, rho0, t_grid,
     for l in ls:
         if l < 1:
             raise ValueError(f"the decay bound needs sectors l >= 1, got l={l}")
-    idx, block, M = _closed_block(L, es, ls)
-    sizes = [i.size for i in idx]
+    idx, block, M = _closed_block(L, model.es, ls)
     x = rho0.reshape(-1, order="F")[block]
-    cuts = np.cumsum(sizes)[:-1]
+    cuts = np.cumsum([i.size for i in idx])[:-1]
     norms = np.empty((len(ls), times.size))
     for i in range(times.size):
         if i > 0 and x.size:
             x = expm_multiply(M * (times[i] - times[i - 1]), x)
         for k, (ix, part) in enumerate(zip(idx, np.split(x, cuts))):
-            norms[k, i] = _pair_norm(d, ix, part)
+            Y = np.zeros(d * d, dtype=complex)
+            Y[ix] = part
+            Y = Y.reshape(d, d, order="F")
+            norms[k, i] = trace_norm(Y + Y.conj().T)
     t = times - times[0]
     measured, bounds, rates, ratios = {}, {}, {}, {}
     for l, meas in zip(ls, norms):

@@ -171,6 +171,25 @@ def test_bad_config_exits_two(config, message, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_trunc_check_past_dense_limit_exits_two(cfg_path, tmp_path, capsys,
+                                                 monkeypatch):
+    # n_trunc 254 builds (d = 508), but its re-solve at n_trunc + 5 would
+    # not (d = 518): an argument error, raised before any solve
+    import lindpair.cli as cli
+    solves = []
+    monkeypatch.setattr(cli, "model_steady", solves.append)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", "--trunc-check", "--config",
+              cfg_path(dict(SPIN_OSC, n_trunc=254)), "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --trunc-check: " in err
+    assert "n_trunc" in err and "512" in err and "Traceback" not in err
+    assert solves == []
+    assert not (out / "steady_summary.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max", "0"),
     ("--t-max", "-1"), ("--t-max", "soon"), ("--samples", "0"),

@@ -132,7 +132,6 @@ def test_distance_and_sector_recording():
                       gamma_A=1.0, gamma_B=1.0, s=0.5, nbar=0.0, Omega=0.5,
                       n_trunc=6)
     bm = build_model(cfg)
-    from lindpair.sectors import sector_pair_mask
     d = bm.L.dim
     psi = np.zeros(d, dtype=complex)
     psi[0] = psi[6] = 1.0 / np.sqrt(2.0)
@@ -145,7 +144,7 @@ def test_distance_and_sector_recording():
     rec = evolve(bm.L, rho0, t, observables=obs,
                  distance_target=bm.analytic_A_steady,
                  keep_factors=(0,),
-                 sector_masks={1: sector_pair_mask(bm.es, d, 1)},
+                 sectors=[1],
                  store_states=True)
     assert rec.trace_norm_distance_to_A_steady.shape == (5,)
     assert np.all(np.diff(rec.sector_pair_norms[1]) < 0)

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 from lindpair import hilbert as hb
-from lindpair.evolve import evolve
-from lindpair.liouvillian import (Liouvillian, LindbladTerm,
-                                  sparse_superoperator)
+from lindpair.evolve import evolve, trace_norm
+from lindpair.liouvillian import (Liouvillian, LindbladTerm, sector_indices,
+                                  sector_labels, sparse_superoperator)
 from lindpair.models import ModelConfig, build_model
 from lindpair.sectors import (_eligible_ls, build_excitation_structure,
-                              check_decay_bound, excitation_commutator,
-                              project_sector, sector_decay_rate,
-                              sector_generator_matrix, sector_pair_mask,
-                              sector_vec_indices, trotter_compare)
+                              check_decay_bound, project_sector,
+                              sector_decay_rate, sector_generator_matrix,
+                              trotter_compare)
 
 
 def _models():
@@ -42,17 +41,30 @@ def test_excitation_arrays():
     es2 = build_excitation_structure(hb.space(hb.oscillator(5)))
     assert list(es2.exc) == [0, 1, 2, 3, 4]
     # composite index repeats each A excitation across the B block
-    assert list(es.composite_excitation(6)) == [0, 0, 0, 1, 1, 1]
+    assert es.difference((6, 6))[:, 0].tolist() == [0, 0, 0, 1, 1, 1]
+    with pytest.raises(ValueError, match="square over A's 2 levels"):
+        es.difference((5, 5))
     # system A is one tensor factor
     with pytest.raises(ValueError, match="one tensor factor, got 2"):
         build_excitation_structure(hb.space(hb.spin(), hb.oscillator(3)))
 
 
+def _key(bm):
+    return bm.es.space.total_dim, bm.L.dim
+
+
 def test_generator_commutes_with_excitation():
+    # [V_A x 1, rho] scales each vec entry of rho by its sector label
     for bm in _models():
-        rho = _random_state(bm.L.dim)
-        lhs = excitation_commutator(bm.es, bm.L.apply(rho))
-        rhs = bm.L.apply(excitation_commutator(bm.es, rho))
+        d = bm.L.dim
+        labels = sector_labels(*_key(bm))
+
+        def commutator(X):
+            return (labels * X.reshape(-1, order="F")).reshape(
+                d, d, order="F")
+        rho = _random_state(d)
+        lhs = commutator(bm.L.apply(rho))
+        rhs = bm.L.apply(commutator(rho))
         scale = max(np.abs(bm.L.apply(rho)).max(), 1e-300)
         assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
@@ -61,8 +73,7 @@ def test_projector_family():
     for bm in _models():
         d = bm.L.dim
         rho = _random_state(d, seed=3)
-        v = bm.es.composite_excitation(d)
-        ls = np.unique(v[:, None] - v[None, :])
+        ls = np.unique(bm.es.difference((d, d)))
         acc = np.zeros_like(rho)
         for l in ls:
             P = project_sector(bm.es, rho, int(l))
@@ -88,27 +99,56 @@ def test_sectors_preserved_by_generator():
 
 
 def test_sector_pair_projector_hermitian():
-    bm = next(_models())
-    rho = _random_state(bm.L.dim, seed=7)
-    rho = 0.5 * (rho + rho.conj().T)
-    # the masking cmd_run and evolve apply to the +-1 pair
-    P = np.where(sector_pair_mask(bm.es, bm.L.dim, 1), rho, 0)
-    assert np.abs(P - P.conj().T).max() <= 1e-14
+    # the +-l pair evolve scatters from the partition's indices is the
+    # masked state of the difference table, hermitian for a hermitian state
+    for bm in _models():
+        d = bm.L.dim
+        diff = bm.es.difference((d, d))
+        rho = _random_state(d, seed=7)
+        rho = 0.5 * (rho + rho.conj().T)
+        part = sector_indices(*_key(bm))
+        for l in (0, 1):
+            at = np.concatenate([part[s] for s in {l, -l}])
+            P = np.zeros(d * d, dtype=complex)
+            P[at] = rho.reshape(-1, order="F")[at]
+            P = P.reshape(d, d, order="F")
+            assert np.array_equal(P, np.where(np.abs(diff) == l, rho, 0))
+            assert np.abs(P - P.conj().T).max() <= 1e-14
+    # a pair is named by l >= 0
     with pytest.raises(ValueError, match="l=-1"):
-        sector_pair_mask(bm.es, bm.L.dim, -1)
+        evolve(bm.L, rho, [0.0, 1.0], sectors=[-1])
 
 
-def test_sector_vec_indices_match_mask():
-    bm = build_model(ModelConfig(model="spin_oscillator", omega_A=1.0,
-                                 omega_B=1.0, gamma_A=1.0, gamma_B=1.0,
-                                 s=0.5, nbar=0.0, Omega=0.3, n_trunc=4))
-    d = bm.L.dim
-    v = bm.es.composite_excitation(d)
-    for l in (-1, 0, 1):
-        idx = sector_vec_indices(bm.es, d, l)
-        mask = (v[:, None] - v[None, :]) == l
-        ii, jj = np.nonzero(mask)
-        assert sorted(idx) == sorted(ii + jj * d)
+def test_sector_partition_matches_difference_table():
+    # a spin A (two_spins, spin_oscillator) and an oscillator A
+    for bm in _models():
+        d = bm.L.dim
+        diff = bm.es.difference((d, d))
+        labels, indices = sector_labels(*_key(bm)), sector_indices(*_key(bm))
+        assert labels.dtype == indices[0].dtype == np.int32
+        assert not labels.flags.writeable and not indices[0].flags.writeable
+        assert np.array_equal(labels, diff.ravel(order="F"))
+        assert sorted(indices) == np.unique(diff).tolist()
+        for l, idx in indices.items():
+            # row-major (i, j) order, the order of every sector block of S
+            ii, jj = np.nonzero(diff == l)
+            assert np.array_equal(idx, ii + jj * d)
+    # computed once per (A dimension, d)
+    assert sector_indices(*_key(bm)) is indices
+
+
+def test_evolve_pair_norms_match_masked_states():
+    # on a spin A (sector 2 empty) and an oscillator A, the recorded
+    # norms are those of the masked stored states, bit for bit
+    for bm in list(_models())[1:]:
+        d = bm.L.dim
+        diff = bm.es.difference((d, d))
+        rec = evolve(bm.L, _random_state(d, seed=8), np.linspace(0, 1, 4),
+                     sectors=[1, 2], store_states=True)
+        for l in (1, 2):
+            ref = [trace_norm(np.where(np.abs(diff) == l, state, 0))
+                   for state in rec.states]
+            assert rec.sector_pair_norms[l].tolist() == ref
 
 
 def test_single_factor_decay_rates():
@@ -281,14 +321,13 @@ def test_decay_bound_random_configs_and_states():
 ], ids=["spin_oscillator", "optomechanical"])
 def test_decay_bound_matches_full_evolution(cfg, ls):
     # the exact sector-block propagation against full-space RK4 with
-    # sector masks, on a non-uniform grid (a spin A has sector 1 only)
+    # sector pair norms, on a non-uniform grid (a spin A has sector 1 only)
     bm = build_model(cfg)
     d = bm.L.dim
     rho0 = _random_state(d, seed=13)
     t_grid = 3.0 * np.linspace(0.0, 1.0, 9) ** 2
     rep = check_decay_bound(bm, rho0, t_grid, ls=ls)
-    masks = {l: sector_pair_mask(bm.es, d, l) for l in ls}
-    rec = evolve(bm.L, rho0, t_grid, sector_masks=masks, tol=1e-10)
+    rec = evolve(bm.L, rho0, t_grid, sectors=ls, tol=1e-10)
     for l in ls:
         ref = rec.sector_pair_norms[l]
         assert ref.min() > 0.0

@@ -12,10 +12,9 @@ from lindpair import hilbert as hb
 from lindpair.evolve import trace_norm
 from lindpair.hilbert import partial_trace
 from lindpair.liouvillian import (Liouvillian, LindbladTerm, _kron_terms,
-                                  block_triplets, sparse_superoperator,
-                                  trace_row_indices)
+                                  block_triplets, sector_indices,
+                                  sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
-from lindpair.sectors import sector_vec_indices
 from lindpair import steady
 from lindpair.steady import (_analyse, _block_values, _dissection_order,
                              _postprocess, _system, _trace_block,
@@ -104,7 +103,7 @@ def test_coupled_block_is_sector_zero(raw):
     bm = build_model(raw)
     d = bm.L.dim
     block, split = _trace_block(sparse_superoperator(bm.L), d)
-    sector0 = np.sort(sector_vec_indices(bm.es, d, 0))
+    sector0 = np.sort(sector_indices(bm.es.space.total_dim, d)[0])
     assert not split
     # breadth-first from the first diagonal index, which comes first
     assert block[0] == 0
