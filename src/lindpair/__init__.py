@@ -19,8 +19,7 @@ from .spectral import (
     spin_eigensystem, osc_eigensystem, normal_ordered_fock_matrix,
 )
 from .sectors import (
-    ExcitationStructure, build_excitation_structure, project_sector,
-    sector_decay_rate, check_decay_bound, trotter_compare,
+    project_sector, sector_decay_rate, check_decay_bound, trotter_compare,
 )
 from .steady import (
     SteadyReport, DampingRecurrence,

@@ -16,6 +16,7 @@ values.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -109,6 +110,10 @@ def evolve(L: Liouvillian, rho0, t_grid,
            store_states: bool = False) -> TrajectoryRecord:
     """Integrate the master equation over ``t_grid``.
 
+    An argument of the wrong shape raises ValueError naming it before
+    any step: ``rho0`` and each observable must be ``(L.dim, L.dim)``,
+    ``distance_target`` square over the ``keep_factors``.
+
     Parameters
     ----------
     L : Liouvillian
@@ -136,13 +141,29 @@ def evolve(L: Liouvillian, rho0, t_grid,
         raise ValueError("t_grid must be finite")
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be strictly increasing")
+    d, pairs = L.dim, {}
+    if rho.shape != (d, d):
+        raise ValueError(f"rho0 must be a ({d}, {d}) matrix, "
+                         f"got shape {rho.shape}")
     if abs(np.trace(rho).real - 1.0) > 1e-8 or abs(np.trace(rho).imag) > 1e-8:
         raise ValueError("initial state is not normalized")
 
     obs_items = list((observables or {}).items())
     obs_mats = [np.asarray(getattr(o, "entries", o), dtype=complex)
                 for _, o in obs_items]
-    d, pairs = rho.shape[0], {}
+    for (name, _), mat in zip(obs_items, obs_mats):
+        if mat.shape != (d, d):
+            raise ValueError(f"observable {name!r} must be a ({d}, {d}) "
+                             f"matrix, got shape {mat.shape}")
+    if distance_target is not None:
+        keep = set(keep_factors)
+        if not keep or not keep <= set(range(len(L.space))):
+            raise ValueError(f"keep_factors must name factors of the "
+                             f"space, got {keep_factors}")
+        k = math.prod(L.space.dims[i] for i in keep)
+        if np.shape(distance_target) != (k, k):
+            raise ValueError(f"distance_target must be a ({k}, {k}) matrix, "
+                             f"got shape {np.shape(distance_target)}")
     for l in map(int, sectors):
         if l < 0:
             raise ValueError(f"sector pair needs l >= 0, got l={l}")

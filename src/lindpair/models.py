@@ -8,7 +8,9 @@ quadrature:
     jumps l at rate r (1 - s) or r (nbar + 1), l^dag at rate r s or r nbar,
 
 with ``E = sigma_z`` and ``l = sigma_-`` for a spin, ``E = n`` and
-``l = a`` for an oscillator.  For a spin ``sigma_z`` differs from the
+``l = a`` for an oscillator.  A is the leading factor of the generator's
+space and B the second, so every sector reader takes A's dimension and
+kind from ``L.space.factors[0]``.  For a spin ``sigma_z`` differs from the
 excitation operator by a multiple of identity, which shifts only a
 pure-B Hamiltonian term and leaves the sector structure and every
 commutation property untouched.
@@ -35,7 +37,6 @@ import numpy as np
 from . import hilbert as hb
 from .hilbert import OSCILLATOR, SPIN
 from .liouvillian import LindbladTerm, Liouvillian
-from .sectors import ExcitationStructure, build_excitation_structure
 from .steady import solve_steady, spin_steady, thermal_state, SteadyReport
 
 __all__ = [
@@ -168,16 +169,16 @@ def parse_config(source) -> ModelConfig:
 class BuiltModel:
     """Assembled generator plus the analytic reference data.
 
-    Besides the generator, the A excitation structure and the A-side
-    fixed point, it carries the A-side damping channels (``a_terms``, a
-    subset of ``L.terms``, for the sector splitting), the B-side fixed
-    point, and A's damping rate as ``reference_rate``: it scales times
-    in reports and sets the sector decay rates ``-|l| r / 2``.
+    Besides the generator, whose leading factor ``L.space.factors[0]``
+    is A, and the A-side fixed point, it carries the A-side damping
+    channels (``a_terms``, a subset of ``L.terms``, for the sector
+    splitting), the B-side fixed point, and A's damping rate as
+    ``reference_rate``: it scales times in reports and sets the sector
+    decay rates ``-|l| r / 2``.
     """
 
     cfg: ModelConfig
     L: Liouvillian
-    es: ExcitationStructure
     analytic_A_steady: np.ndarray
     analytic_B_steady: np.ndarray
     a_terms: tuple[LindbladTerm, ...]
@@ -221,8 +222,7 @@ def build_model(cfg) -> BuiltModel:
                     + getattr(cfg, b[1]) * exc[1]
                     + getattr(cfg, coupling) * coupling_op)
     L = Liouvillian(sp, H, terms)
-    es = build_excitation_structure(hb.space(factors[0]))
-    return BuiltModel(cfg, L, es, fixed[0], fixed[1], L.terms[:2],
+    return BuiltModel(cfg, L, fixed[0], fixed[1], L.terms[:2],
                       getattr(cfg, a[2]), a[2], (0,), (1,))
 
 

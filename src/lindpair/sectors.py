@@ -1,22 +1,23 @@
 """Excitation sectors of system A and the decay-bound machinery.
 
-System A is one tensor factor, a spin or an oscillator, and its
-excitation operator (the excited-state projector or the number
-operator) is diagonal with the eigenvalue k at level k, so a basis
-index of A carries an exact excitation count.  A composite density
-matrix splits into sectors labelled by the difference l of the row and
-column excitation; the generator of the coupled pair commutes with this
-splitting, each sector relaxes on its own, and every l != 0 sector dies
-out at the rate ``eta_l = -|l| r / 2`` set by A's damping rate r alone.
+System A is the generator's leading factor, ``L.space.factors[0]``, a
+spin or an oscillator, and its excitation operator (the excited-state
+projector or the number operator) is diagonal with the eigenvalue k at
+level k, so a basis index of A carries an exact excitation count.  A
+composite density matrix splits into sectors labelled by the difference
+l of the row and column excitation; the generator of the coupled pair
+commutes with this splitting, each sector relaxes on its own, and every
+l != 0 sector dies out at the rate ``eta_l = -|l| r / 2`` set by A's
+damping rate r alone.
 
 Every sector is read off one partition, cached per (A dimension, d):
 each vec index's label (``liouvillian.sector_labels``), on which
 ``verify`` checks the commutation, and each sector's indices
-(``sector_indices``), from which ``evolve`` scatters its +-l pairs and
-the decay bound and the split propagation take the requested +l
-sectors as one closed block of the cached superoperator.  The decay
-bound propagates it exactly with ``expm_multiply``, rebuilding each
-+-l pair from its +l half.  System A is the leading factor throughout.
+(``sector_indices``), from which ``project_sector`` and ``evolve``
+scatter their sectors and the decay bound and the split propagation
+take the requested +l sectors as one closed block of the cached
+superoperator.  The decay bound propagates it exactly with
+``expm_multiply``, rebuilding each +-l pair from its +l half.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .evolve import HERM_BRANCH_TOL, trace_norm
-from .hilbert import Operator, SpaceSpec, SPIN
+from .hilbert import Operator, SPIN
 from .liouvillian import (Liouvillian, block_triplets, sector_indices,
                           sparse_superoperator)
 
 __all__ = [
-    "ExcitationStructure",
-    "build_excitation_structure",
     "project_sector",
     "sector_decay_rate",
     "check_decay_bound",
@@ -50,46 +49,17 @@ __all__ = [
 TOL_BOUND = 1e-6
 
 
-@dataclass(frozen=True)
-class ExcitationStructure:
-    """Spectral data of the A-side excitation operator.
-
-    ``space`` is A's one-factor space; ``exc`` is the per-index
-    eigenvalue array (the diagonal of the excitation operator).
-    """
-
-    space: SpaceSpec
-    exc: np.ndarray
-
-    def difference(self, shape: tuple) -> np.ndarray:
-        """The table ``v_i - v_j`` of row minus column excitation for a
-        composite state of ``shape`` (A leading); its sectors are its
-        level sets."""
-        d, dA = shape[0], self.space.total_dim
-        if tuple(shape) != (d, d) or d % dA:
-            raise ValueError(f"state must be square over A's {dA} levels")
-        v = np.repeat(self.exc, d // dA)
-        return v[:, None] - v[None, :]
-
-
-def build_excitation_structure(spaceA: SpaceSpec) -> ExcitationStructure:
-    """The excitation operator of A's one factor, diagonal by construction.
-
-    For a spin it is the excited-state projector, for an oscillator the
-    number operator; level k has excitation k either way, so sectors
-    come from exact integer comparison, never float thresholds.  A
-    space of more or fewer than one factor raises ValueError.
-    """
-    n = len(spaceA.factors)
-    if n != 1:
-        raise ValueError(f"system A must be one tensor factor, got {n}")
-    return ExcitationStructure(spaceA, np.arange(spaceA.total_dim))
-
-
-def project_sector(es: ExcitationStructure, rho, l: int) -> np.ndarray:
-    """Keep only blocks with row excitation minus column excitation = l."""
+def project_sector(dA: int, rho, l: int) -> np.ndarray:
+    """Keep only the entries whose row excitation of A (the leading
+    factor, ``dA`` levels) minus column excitation is l."""
     rho = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    return np.where(es.difference(rho.shape) == l, rho, 0.0)
+    d = rho.shape[0]
+    if rho.shape != (d, d) or d % dA:
+        raise ValueError(f"state must be square over A's {dA} levels")
+    at = sector_indices(dA, d).get(l, np.zeros(0, dtype=int))
+    out = np.zeros(d * d, dtype=complex)
+    out[at] = rho.reshape(-1, order="F")[at]
+    return out.reshape(d, d, order="F")
 
 
 def sector_decay_rate(model, l: int) -> float:
@@ -101,7 +71,7 @@ def sector_decay_rate(model, l: int) -> float:
     beyond |l| = 1, so asking for one raises ValueError.
     """
     units = abs(int(l))
-    if units > 1 and model.es.space.factors[0].kind == SPIN:
+    if units > 1 and model.L.space.factors[0].kind == SPIN:
         raise ValueError(f"sector {l} exceeds the A-side excitation range")
     return -units * model.reference_rate / 2.0
 
@@ -118,18 +88,18 @@ class DecayBoundReport:
 
 
 def _eligible_ls(model) -> list:
-    f = model.es.space.factors[0]
+    f = model.L.space.factors[0]
     return list(range(1, 2 if f.kind == SPIN else f.dim - 1))
 
 
-def _closed_block(L: Liouvillian, es: ExcitationStructure, ls) -> tuple:
+def _closed_block(L: Liouvillian, ls) -> tuple:
     """The vec indices of each sector in ``ls``, their concatenation and
     the block of ``S`` they span, as CSR in block coordinates.
 
     The block must be closed: a row reaching outside it raises a
     RuntimeError naming the first sector that leaks.
     """
-    part = sector_indices(es.space.total_dim, L.dim)
+    part = sector_indices(L.space.dims[0], L.dim)
     empty = np.zeros(0, dtype=int)
     idx = [part.get(l, empty) for l in ls]
     block = np.concatenate([empty] + idx)
@@ -198,7 +168,7 @@ def check_decay_bound(model, rho0, t_grid,
     for l in ls:
         if l < 1:
             raise ValueError(f"the decay bound needs sectors l >= 1, got l={l}")
-    idx, block, M = _closed_block(L, model.es, ls)
+    idx, block, M = _closed_block(L, ls)
     x = rho0.reshape(-1, order="F")[block]
     cuts = np.cumsum([i.size for i in idx])[:-1]
     norms = np.empty((len(ls), times.size))
@@ -236,10 +206,9 @@ class TrotterReport:
     split_commutator_max: float
 
 
-def sector_generator_matrix(L: Liouvillian, es: ExcitationStructure,
-                            l: int) -> np.ndarray:
+def sector_generator_matrix(L: Liouvillian, l: int) -> np.ndarray:
     """Dense superoperator of L on sector l (vec indices), if closed."""
-    return _closed_block(L, es, [l])[2].toarray()
+    return _closed_block(L, [l])[2].toarray()
 
 
 def trotter_compare(model, l: int, t: float,
@@ -256,14 +225,12 @@ def trotter_compare(model, l: int, t: float,
     use scaling-and-squaring.
     """
     L: Liouvillian = model.L
-    es: ExcitationStructure = model.es
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 1 or N_list[0] < 1:
         raise ValueError("N_list must contain positive integers")
     zero = Operator(L.space, np.zeros((L.dim, L.dim)))
-    MA = sector_generator_matrix(Liouvillian(L.space, zero, model.a_terms),
-                                 es, l)
-    Mfull = sector_generator_matrix(L, es, l)
+    MA = sector_generator_matrix(Liouvillian(L.space, zero, model.a_terms), l)
+    Mfull = sector_generator_matrix(L, l)
     Mrest = Mfull - MA
     comm = MA @ Mrest - Mrest @ MA
     exact = scipy.linalg.expm(Mfull * t)

@@ -16,7 +16,7 @@ import lindpair
 from lindpair import hilbert as hb
 from lindpair.cli import _parser, _write_matrix_pair, main
 from lindpair.liouvillian import Liouvillian
-from lindpair.models import build_model
+from lindpair.models import build_model, model_steady
 
 TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5,
                  s_A=0.8, s_B=0.6, Omega=0.7)
@@ -188,6 +188,28 @@ def test_trunc_check_past_dense_limit_exits_two(cfg_path, tmp_path, capsys,
     assert "n_trunc" in err and "512" in err and "Traceback" not in err
     assert solves == []
     assert not (out / "steady_summary.json").exists()
+
+
+@pytest.mark.parametrize("raw, dims", [
+    (dict(SPIN_OSC, n_trunc=15), [30, 40]), (TWO_SPINS, [4])],
+    ids=["spin_oscillator", "two_spins"])
+def test_trunc_check_solves_base_once(raw, dims, cfg_path, tmp_path,
+                                      monkeypatch):
+    # the base solve of the truncation check is the one written; a
+    # model without an oscillator has no enlarged solve
+    import lindpair.cli as cli
+    solved = []
+
+    def spy(bm):
+        solved.append(bm.L.dim)
+        return model_steady(bm)
+    monkeypatch.setattr(cli, "model_steady", spy)
+    out = tmp_path / "out"
+    assert main(["steady", "--trunc-check", "--config", cfg_path(raw),
+                 "--out", str(out)]) == 0
+    assert solved == dims
+    summary = json.loads((out / "steady_summary.json").read_text())
+    assert summary["residual"] <= 1e-9 and "truncation_shift" in summary
 
 
 @pytest.mark.parametrize("flag, value", [

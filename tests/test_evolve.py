@@ -182,9 +182,34 @@ def test_nonfinite_grid_rejected(t_end, monkeypatch):
         evolve(L, rho, [0.0, t_end])
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(rho0=np.eye(5) / 5),
+     r"rho0 must be a \(6, 6\) matrix, got shape \(5, 5\)"),
+    (dict(rho0=np.eye(6)[:, :5] / 5), r"rho0 must be a \(6, 6\) matrix"),
+    (dict(observables={"n": np.eye(3)}), r"observable 'n' must be a \(6, 6\)"),
+    (dict(distance_target=np.eye(6) / 6),
+     r"distance_target must be a \(2, 2\) matrix, got shape \(6, 6\)"),
+    (dict(distance_target=np.eye(2) / 2, keep_factors=(1,)),
+     r"distance_target must be a \(3, 3\)"),
+    (dict(distance_target=np.eye(2) / 2, keep_factors=(0, 2)),
+     "keep_factors must name factors"),
+], ids=["rho0_wrong_dim", "rho0_non_square", "observable", "target_wrong_dim",
+        "target_kept_B", "keep_out_of_range"])
+def test_evolve_rejects_bad_shapes(kwargs, match, monkeypatch):
+    # each argument is named before any step; spin A x 3-level B, d = 6
+    bm = build_model(dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0,
+                          gamma_A=1.0, gamma_B=1.0, s=0.5, nbar=0.0,
+                          Omega=0.5, n_trunc=3))
+    monkeypatch.setattr(bm.L, "apply", lambda rho: pytest.fail("propagated"))
+    rest = dict(kwargs)
+    rho0 = rest.pop("rho0", np.diag([1.0, 0, 0, 0, 0, 0]))
+    with pytest.raises(ValueError, match=match):
+        evolve(bm.L, rho0, [0.0, 1.0], **rest)
+
+
 def test_trace_drift_aborts():
     # a non-trace-preserving stand-in triggers the drift guard
-    fake = SimpleNamespace(apply=lambda rho: 0.05 * rho, space=None)
+    fake = SimpleNamespace(apply=lambda rho: 0.05 * rho, dim=3, space=None)
     rho = np.eye(3, dtype=complex) / 3.0
     with pytest.raises(RuntimeError, match="trace drifted"):
         evolve(fake, rho, np.linspace(0.0, 5.0, 6))

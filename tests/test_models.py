@@ -119,7 +119,7 @@ def test_build_two_spins_structure():
     assert bm.reference_rate == 1.0
     assert bm.a_factors == (0,) and bm.b_factors == (1,)
     assert np.allclose(bm.analytic_A_steady, np.diag([0.2, 0.8]))
-    assert list(bm.es.exc) == [0, 1]
+    assert bm.L.space.dims == (2, 2)
 
 
 def test_build_spin_oscillator_structure():

@@ -11,10 +11,9 @@ from lindpair.evolve import evolve, trace_norm
 from lindpair.liouvillian import (Liouvillian, LindbladTerm, sector_indices,
                                   sector_labels, sparse_superoperator)
 from lindpair.models import ModelConfig, build_model
-from lindpair.sectors import (_eligible_ls, build_excitation_structure,
-                              check_decay_bound, project_sector,
-                              sector_decay_rate, sector_generator_matrix,
-                              trotter_compare)
+from lindpair.sectors import (_eligible_ls, check_decay_bound,
+                              project_sector, sector_decay_rate,
+                              sector_generator_matrix, trotter_compare)
 
 
 def _models():
@@ -35,22 +34,15 @@ def _random_state(d, seed=0):
     return rho / np.trace(rho).real
 
 
-def test_excitation_arrays():
-    es = build_excitation_structure(hb.space(hb.spin()))
-    assert list(es.exc) == [0, 1]
-    es2 = build_excitation_structure(hb.space(hb.oscillator(5)))
-    assert list(es2.exc) == [0, 1, 2, 3, 4]
-    # composite index repeats each A excitation across the B block
-    assert es.difference((6, 6))[:, 0].tolist() == [0, 0, 0, 1, 1, 1]
-    with pytest.raises(ValueError, match="square over A's 2 levels"):
-        es.difference((5, 5))
-    # system A is one tensor factor
-    with pytest.raises(ValueError, match="one tensor factor, got 2"):
-        build_excitation_structure(hb.space(hb.spin(), hb.oscillator(3)))
-
-
 def _key(bm):
-    return bm.es.space.total_dim, bm.L.dim
+    return bm.L.space.dims[0], bm.L.dim
+
+
+def _difference(dA, d):
+    # row minus column excitation of A, each A level repeated over B:
+    # the sector table, built independently of the cached partition
+    v = np.repeat(np.arange(dA), d // dA)
+    return v[:, None] - v[None, :]
 
 
 def test_generator_commutes_with_excitation():
@@ -71,20 +63,30 @@ def test_generator_commutes_with_excitation():
 
 def test_projector_family():
     for bm in _models():
-        d = bm.L.dim
+        dA, d = _key(bm)
+        diff = _difference(dA, d)
         rho = _random_state(d, seed=3)
-        ls = np.unique(bm.es.difference((d, d)))
+        ls = np.unique(diff)
         acc = np.zeros_like(rho)
         for l in ls:
-            P = project_sector(bm.es, rho, int(l))
+            P = project_sector(dA, rho, int(l))
+            # the masked state of the difference table, bit for bit
+            assert np.array_equal(P, np.where(diff == l, rho, 0))
             # idempotent and mutually orthogonal by construction
-            assert np.array_equal(project_sector(bm.es, P, int(l)), P)
+            assert np.array_equal(project_sector(dA, P, int(l)), P)
             for m in ls:
                 if m != l:
-                    assert np.abs(project_sector(bm.es, P, int(m))).max() \
+                    assert np.abs(project_sector(dA, P, int(m))).max() \
                         == 0.0
             acc += P
         assert np.abs(acc - rho).max() <= 1e-12
+        # a sector beyond A's levels is empty
+        assert not project_sector(dA, rho, dA).any()
+    # a state must be square over A's levels
+    with pytest.raises(ValueError, match="square over A's 2 levels"):
+        project_sector(2, np.eye(5), 0)
+    with pytest.raises(ValueError, match="square over A's 2 levels"):
+        project_sector(2, np.eye(6)[:, :4], 0)
 
 
 def test_sectors_preserved_by_generator():
@@ -93,8 +95,8 @@ def test_sectors_preserved_by_generator():
         out = bm.L.apply(rho)
         scale = np.abs(out).max()
         for l in (0, 1, 2):
-            lhs = project_sector(bm.es, out, l)
-            rhs = bm.L.apply(project_sector(bm.es, rho, l))
+            lhs = project_sector(bm.L.space.dims[0], out, l)
+            rhs = bm.L.apply(project_sector(bm.L.space.dims[0], rho, l))
             assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
 
@@ -103,7 +105,7 @@ def test_sector_pair_projector_hermitian():
     # masked state of the difference table, hermitian for a hermitian state
     for bm in _models():
         d = bm.L.dim
-        diff = bm.es.difference((d, d))
+        diff = _difference(*_key(bm))
         rho = _random_state(d, seed=7)
         rho = 0.5 * (rho + rho.conj().T)
         part = sector_indices(*_key(bm))
@@ -123,7 +125,7 @@ def test_sector_partition_matches_difference_table():
     # a spin A (two_spins, spin_oscillator) and an oscillator A
     for bm in _models():
         d = bm.L.dim
-        diff = bm.es.difference((d, d))
+        diff = _difference(*_key(bm))
         labels, indices = sector_labels(*_key(bm)), sector_indices(*_key(bm))
         assert labels.dtype == indices[0].dtype == np.int32
         assert not labels.flags.writeable and not indices[0].flags.writeable
@@ -142,7 +144,7 @@ def test_evolve_pair_norms_match_masked_states():
     # norms are those of the masked stored states, bit for bit
     for bm in list(_models())[1:]:
         d = bm.L.dim
-        diff = bm.es.difference((d, d))
+        diff = _difference(*_key(bm))
         rec = evolve(bm.L, _random_state(d, seed=8), np.linspace(0, 1, 4),
                      sectors=[1, 2], store_states=True)
         for l in (1, 2):
@@ -190,7 +192,7 @@ def test_decay_rates_match_sector_spectrum():
         assert ls == ([1] if cfg["model"] != "optomechanical"
                       else [1, 2, 3, 4])
         for l in ls:
-            M = sector_generator_matrix(bm.L, bm.es, l)
+            M = sector_generator_matrix(bm.L, l)
             assert np.linalg.eigvals(M).real.max() == pytest.approx(
                 sector_decay_rate(bm, l), abs=1e-9)
 
@@ -351,11 +353,44 @@ def test_decay_bound_rejects_non_commuting_generator(check):
         + 0.5 * ((lower + lower.dagger()) @ (b + b.dagger()))
     L = Liouvillian(sp_full, H, [LindbladTerm(lower, 1.0),
                                  LindbladTerm(b, 1.0)])
-    model = SimpleNamespace(L=L, es=build_excitation_structure(
-        hb.space(hb.spin())), a_terms=[LindbladTerm(lower, 1.0)])
+    model = SimpleNamespace(L=L, a_terms=[LindbladTerm(lower, 1.0)])
     rho0 = _random_state(L.dim, seed=14)
     with pytest.raises(RuntimeError, match="sector 1 is not closed"):
         check(model, rho0)
+
+
+def test_sector_checks_on_hand_built_commuting_generator():
+    # no BuiltModel: a thermal spin A, a 3-level B with a random
+    # hamiltonian and one random jump, coupled by diag(f) x X_B, which
+    # commutes with A's excitation; the checks read only L, the
+    # reference rate and A's damping channels
+    rng = np.random.default_rng(23)
+
+    def herm(n):
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return 0.5 * (X + X.conj().T)
+    sp_full = hb.space(hb.spin(), hb.oscillator(3))
+    sm, _, sz = hb.mk_spin_ops(hb.spin())
+    lower = hb.embed(sm, 0, sp_full)
+    jump = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    H = hb.Operator(sp_full, 1.3 * hb.embed(sz, 0, sp_full).entries
+                    + np.kron(np.eye(2), herm(3))
+                    + np.kron(np.diag(rng.normal(size=2)), herm(3)))
+    gamma, s = 0.8, 0.3
+    a_terms = (LindbladTerm(lower, gamma * (1 - s)),
+               LindbladTerm(lower.dagger(), gamma * s))
+    L = Liouvillian(sp_full, H, a_terms + (LindbladTerm(
+        hb.Operator(sp_full, np.kron(np.eye(2), jump)), 0.6),))
+    stub = SimpleNamespace(L=L, reference_rate=gamma, a_terms=a_terms)
+    rep = check_decay_bound(stub, _random_state(L.dim, seed=24),
+                            np.linspace(0.0, 4.0, 17))
+    # for a spin A the constant-1 bound is a theorem
+    assert list(rep.max_ratio) == [1]
+    assert rep.rates[1] == pytest.approx(-0.4)
+    assert rep.max_ratio[1] <= 1.0 + 1e-6
+    # A's damping is a scalar on sector 1, so the split commutes
+    assert trotter_compare(stub, 1, 1.0, [2, 4]).split_commutator_max \
+        <= 1e-12
 
 
 def test_trotter_commuting_split():

@@ -103,7 +103,7 @@ def test_coupled_block_is_sector_zero(raw):
     bm = build_model(raw)
     d = bm.L.dim
     block, split = _trace_block(sparse_superoperator(bm.L), d)
-    sector0 = np.sort(sector_indices(bm.es.space.total_dim, d)[0])
+    sector0 = np.sort(sector_indices(bm.L.space.dims[0], d)[0])
     assert not split
     # breadth-first from the first diagonal index, which comes first
     assert block[0] == 0
