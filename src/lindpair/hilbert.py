@@ -30,6 +30,9 @@ __all__ = [
     "mk_number",
     "identity",
     "kron",
+    "nonzeros",
+    "kron_products",
+    "dagger_nonzeros",
     "embed",
     "partial_trace",
     "TOL_HERM",
@@ -121,11 +124,10 @@ class Operator:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
+        arr = np.array(self.entries, dtype=complex, order="C")
         d = self.space.total_dim
         if arr.shape != (d, d):
             raise ValueError(f"entries shape {arr.shape} does not match space dim {d}")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
@@ -230,6 +232,45 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     (m, n), (p, q) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
+def nonzeros(M: np.ndarray):
+    """Rows, columns (int32) and values of the nonzeros of a dense
+    matrix, in row-major order."""
+    r, c = np.nonzero(M)
+    return r.astype(np.int32), c.astype(np.int32), M[r, c]
+
+
+def kron_products(pairs):
+    """Where some ``kron(a_k, b_k)`` has a nonzero, and each product there,
+    formed with no composite matrix.
+
+    ``pairs`` holds ``(a, b)``, the matrices of the two factors.  Returns
+    the rows and columns (int32, row-major) of every position at which
+    some pair has two nonzero factor entries, and for each pair its
+    products ``a[i, j] * b[k, l]`` at them: the dense kron's own products,
+    a zero of the dense kron's sign where a factor entry is zero.  At any
+    other position every product holds a zero factor, so a scaled sum of
+    the products there, taken in the dense sum's order, gives the dense
+    sum's nonzeros bit for bit.
+    """
+    (dA, _), (dB, _) = pairs[0][0].shape, pairs[0][1].shape
+    d = dA * dB
+    # the position (i dB + k, j dB + l) as one row-major key
+    key = np.unique(np.concatenate([
+        np.add.outer(i * dB * d + j * dB, k * d + l).ravel()
+        for (i, j), (k, l) in ((a.nonzero(), b.nonzero()) for a, b in pairs)]))
+    i, k, j, l = np.unravel_index(key, (dA, dB, dA, dB))
+    row, col = np.divmod(key, d)
+    return (row.astype(np.int32), col.astype(np.int32),
+            tuple(a[i, j] * b[k, l] for a, b in pairs))
+
+
+def dagger_nonzeros(nz):
+    """The row-major nonzeros of ``M^dag`` from those of ``M``."""
+    r, c, v = nz
+    order = np.lexsort((r, c))
+    return c[order], r[order], v[order].conj()
 
 
 def embed(op: Operator, factor_index: int, target: SpaceSpec) -> Operator:

@@ -1,10 +1,15 @@
 """Lindblad generators and their cached sparse superoperator.
 
-A generator is stored as a hamiltonian plus weighted jump operators,
+A generator is a hamiltonian plus weighted jump operators,
 
     L(rho) = -i [H, rho] + sum_j r_j ( J_j rho J_j^dag
-                                       - (J_j^dag J_j rho + rho J_j^dag J_j) / 2 ).
+                                       - (J_j^dag J_j rho + rho J_j^dag J_j) / 2 ),
 
+held only as the row-major nonzeros of H and of each jump, with the
+rates: no d x d operator is kept.  A model passes the nonzeros formed
+from its factor matrices (``hilbert.kron_products``); a generator given
+dense operators takes theirs.  The dense ``hamiltonian`` and ``terms``
+are formed only when read.
 Its superoperator ``S`` (column-stacking convention,
 ``A rho B -> kron(B^T, A) vec(rho)``) is assembled on first use as one
 read-only CSR matrix and cached on the generator: ``apply`` is one
@@ -29,9 +34,11 @@ preallocated buffer (int32 indices, complex values), and converted to
 CSR once.  Building it from ``scipy.sparse.kron`` calls and sparse
 additions instead creates and validates a new sparse matrix at every
 step, a fixed cost that dominated at small d (2-4 ms against 0.2-0.3 ms
-for one ``S`` at d=4).  The jumps enter only through their nonzeros:
-each ``J^dag J`` of the drift is summed from the pairs of nonzeros that
-share a row, with no dense d^3 product.
+for one ``S`` at d=4).  The drift is summed on the nonzeros too: each
+``J^dag J`` from the pairs of a jump's nonzeros that share a row, with
+no dense d^3 product, added to ``-i H`` at the positions where either
+has a nonzero, in the dense sum's order, so ``S`` is bit for bit the
+one a dense drift gives.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csc_matvec, csr_matvec
 
-from .hilbert import Operator, SpaceSpec
+from .hilbert import TOL_HERM, Operator, SpaceSpec, nonzeros
 
 __all__ = [
     "LindbladTerm",
@@ -65,43 +72,93 @@ class LindbladTerm:
     rate: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(
-                f"rate must be finite and nonnegative, got {self.rate}")
+        _check_rate(self.rate)
 
 
-@dataclass(eq=False)
+def _check_rate(rate):
+    if not (np.isfinite(rate) and rate >= 0):
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+
+
 class Liouvillian:
-    """Markovian generator on a composite space.
+    """Markovian generator on a composite space, held by its nonzeros.
 
     Parameters
     ----------
     space : SpaceSpec
         Space the generator acts on.
     hamiltonian : Operator
-        Hermitian part; checked against :func:`Operator.is_hermitian`.
+        Hermitian part, to ``TOL_HERM`` as :meth:`Operator.is_hermitian`.
     terms : sequence of LindbladTerm
         Dissipation channels.
-    """
 
-    space: SpaceSpec
-    hamiltonian: Operator
-    terms: tuple[LindbladTerm, ...]
+    Only the nonzeros of the operators are kept, as row-major
+    ``(rows, cols, values)`` triplets, int32 indices and read-only:
+    ``h`` of the hamiltonian, ``jumps`` of each jump, with the ``rates``.
+    :meth:`from_nonzeros` takes the triplets themselves, so a generator
+    built from factor matrices never forms a d x d one.  ``hamiltonian``
+    and ``terms`` are dense views, formed on each read and not kept.
+    """
 
     def __init__(self, space: SpaceSpec, hamiltonian: Operator,
                  terms: Sequence[LindbladTerm] = ()):
         if hamiltonian.space != space:
             raise ValueError("hamiltonian acts on a different space")
-        if not hamiltonian.is_hermitian():
-            raise ValueError("hamiltonian is not hermitian")
         for t in terms:
             if t.jump_op.space != space:
                 raise ValueError("jump operator acts on a different space")
-        self.space = space
-        self.hamiltonian = hamiltonian
-        self.terms = tuple(terms)
+        self._hold(space, nonzeros(hamiltonian.entries),
+                   [nonzeros(t.jump_op.entries) for t in terms],
+                   [t.rate for t in terms])
+
+    @classmethod
+    def from_nonzeros(cls, space: SpaceSpec, h, jumps, rates) -> "Liouvillian":
+        """The generator of the hamiltonian and jumps whose row-major
+        nonzeros are ``h`` and ``jumps``, at ``rates``; checked as the
+        constructor checks its operators."""
+        L = cls.__new__(cls)
+        L._hold(space, h, jumps, rates)
+        return L
+
+    def _hold(self, space: SpaceSpec, h, jumps, rates):
         d = space.total_dim
+        h, *jumps = ((np.asarray(r, np.int32), np.asarray(c, np.int32),
+                      np.asarray(v, complex)) for r, c, v in (h, *jumps))
+        rates = tuple(float(r) for r in rates)
+        if len(rates) != len(jumps):
+            raise ValueError(f"{len(jumps)} jumps but {len(rates)} rates")
+        for rate in rates:
+            _check_rate(rate)
+        finite = [np.isfinite(v).all() for _, _, v in (h, *jumps)]
+        if not all(finite):
+            k = finite.index(False)
+            raise ValueError(("hamiltonian" if k == 0 else f"jump {k - 1}")
+                             + " has non-finite entries")
+        if not _is_hermitian(h, d):
+            raise ValueError("hamiltonian is not hermitian")
+        for a in (x for nz in (h, *jumps) for x in nz):
+            a.flags.writeable = False
+        self.space = space
+        self.h = h
+        self.jumps = tuple(jumps)
+        self.rates = rates
         self._shape = (d, d)
+
+    def _dense(self, nz) -> Operator:
+        M = np.zeros(self._shape, dtype=complex)
+        M[nz[0], nz[1]] = nz[2]
+        return Operator(self.space, M)
+
+    @property
+    def hamiltonian(self) -> Operator:
+        """H as a dense operator, formed on each read."""
+        return self._dense(self.h)
+
+    @property
+    def terms(self) -> tuple[LindbladTerm, ...]:
+        """The channels with dense jump operators, formed on each read."""
+        return tuple(LindbladTerm(self._dense(J), r)
+                     for J, r in zip(self.jumps, self.rates))
 
     @property
     def dim(self) -> int:
@@ -148,10 +205,24 @@ class Liouvillian:
         return self._matvec(X, adjoint=True)
 
 
-def _nonzeros(M: np.ndarray):
-    """Rows, columns (int32) and values of the nonzeros of a dense matrix."""
-    r, c = np.nonzero(M)
-    return r.astype(np.int32), c.astype(np.int32), M[r, c]
+def _is_hermitian(h, d: int) -> bool:
+    """``|H - H^dag|_max <= TOL_HERM |H|_max`` on the nonzeros ``h``
+    (zero is hermitian): :meth:`Operator.is_hermitian`'s test.
+
+    Entry m of ``h``, at (r, c), meets the entry at (c, r) when there is
+    one, found by its row-major key; there ``H - H^dag`` is
+    ``H[c, r] - conj(H[r, c])``, and where there is none it is
+    ``-conj(H[r, c])``, as in the dense difference.
+    """
+    r, c, v = h
+    if not v.size:
+        return True
+    key = r.astype(np.int64) * d + c
+    at = np.searchsorted(key, c.astype(np.int64) * d + r)
+    at[at == key.size] = 0
+    met = key[at] == c.astype(np.int64) * d + r
+    diff = np.where(met, v[at] - v.conj(), v)
+    return np.abs(diff).max() <= TOL_HERM * np.abs(v).max()
 
 
 def _kron_terms(L: Liouvillian) -> list:
@@ -160,20 +231,18 @@ def _kron_terms(L: Liouvillian) -> list:
     ``S = kron(1, K) + kron(conj K, 1) + sum_j r_j kron(conj J_j, J_j)``,
     with the drift ``K = -i H - (1/2) sum_j r_j J_j^dag J_j``.  Each
     factor is given by the rows, columns and values of its nonzeros in
-    row-major order (``_nonzeros``; the identity's values are real
-    ones).  A jump with a zero rate has no term: its products are exact
-    zeros, which ``S`` does not store.
+    row-major order (the identity's values are real ones).  A jump with
+    a zero rate has no term: its products are exact zeros, which ``S``
+    does not store.
     """
     d = L.dim
-    jumps = [_nonzeros(t.jump_op.entries) for t in L.terms]
-    K = _drift(L.hamiltonian.entries, L.terms, jumps)
     diag = np.arange(d, dtype=np.int32)
     one = (diag, diag, np.ones(d))
-    k = _nonzeros(K)
+    k = _drift(L.h, L.rates, L.jumps, d)
     terms = [(1.0, one, k), (1.0, (k[0], k[1], k[2].conj()), one)]
-    for t, (r, c, v) in zip(L.terms, jumps):
-        if t.rate != 0:
-            terms.append((t.rate, (r, c, v.conj()), (r, c, v)))
+    for rate, (r, c, v) in zip(L.rates, L.jumps):
+        if rate != 0:
+            terms.append((rate, (r, c, v.conj()), (r, c, v)))
     return terms
 
 
@@ -204,18 +273,23 @@ def _assemble(terms, d: int) -> sp.csr_matrix:
     return S
 
 
-def _drift(H: np.ndarray, terms, jumps) -> np.ndarray:
-    """The drift ``K = -i H - (1/2) sum_j r_j J_j^dag J_j``, dense.
+def _drift(h, rates, jumps, d: int):
+    """The row-major nonzeros of the drift
+    ``K = -i H - (1/2) sum_j r_j J_j^dag J_j`` from those of H and the
+    jumps.
 
-    ``jumps`` holds each term's ``_nonzeros``.  Each ``J^dag J`` comes
-    from them, ``(J^dag J)[c1, c2] = sum_r conj(J[r, c1]) J[r, c2]``: one
-    product per pair of nonzeros of the jump that share a row, so the
-    cost follows the pairs (one per nonzero for a ladder operator), not
-    d^3, and never exceeds the nnz^2 entries of the jump's own kron
-    block.  The pairs of all jumps are found in one pass, keyed by
-    (jump, row), and added into ``-i H`` at their entries, in jump order.
+    Each ``J^dag J`` comes from the jump's nonzeros,
+    ``(J^dag J)[c1, c2] = sum_r conj(J[r, c1]) J[r, c2]``: one product
+    per pair of nonzeros of the jump that share a row, so the cost
+    follows the pairs (one per nonzero for a ladder operator), not d^3,
+    and never exceeds the nnz^2 entries of the jump's own kron block.
+    The pairs of all jumps are found in one pass, keyed by (jump, row).
+    ``K`` is summed over the positions of H's nonzeros and of the pairs
+    only, in the order the dense sum takes: ``-i H`` (a zero off H's
+    nonzeros), then the pairs in jump order.  Elsewhere ``K`` is zero,
+    and so is a sum that cancels, which is dropped.
     """
-    n, d = len(jumps), H.shape[0]
+    n = len(jumps)
     q = np.repeat(np.arange(n, dtype=np.int32), [J[2].size for J in jumps])
     # one empty triplet keeps the concatenation typed without jumps
     r, c, v = (np.concatenate(x) for x in zip(
@@ -229,10 +303,19 @@ def _drift(H: np.ndarray, terms, jumps) -> np.ndarray:
     i = np.repeat(np.arange(key.size), count)
     j = np.arange(i.size) + np.repeat(first - (np.cumsum(count) - count),
                                       count)
-    rate = np.array([t.rate for t in terms], dtype=float)
+    rate = np.array(rates, dtype=float)
+    hr, hc, hv = h
+    # the positions of H's nonzeros and of the pairs, as row-major keys
+    pos, at = np.unique(np.concatenate([hr.astype(np.int64) * d + hc,
+                                        c[i].astype(np.int64) * d + c[j]]),
+                        return_inverse=True)
+    H = np.zeros(pos.size, dtype=complex)
+    H[at[:hv.size]] = hv
     K = -1j * H
-    np.add.at(K, (c[i], c[j]), -0.5 * rate[q[i]] * v[i].conj() * v[j])
-    return K
+    np.add.at(K, at[hv.size:], -0.5 * rate[q[i]] * v[i].conj() * v[j])
+    keep = K != 0
+    row, col = np.divmod(pos[keep], d)
+    return row.astype(np.int32), col.astype(np.int32), K[keep]
 
 
 def sparse_superoperator(L: Liouvillian) -> sp.csr_matrix:

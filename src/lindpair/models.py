@@ -30,6 +30,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -170,59 +171,85 @@ class BuiltModel:
     """Assembled generator plus the analytic reference data.
 
     Besides the generator, whose leading factor ``L.space.factors[0]``
-    is A, and the A-side fixed point, it carries the A-side damping
-    channels (``a_terms``, a subset of ``L.terms``, for the sector
-    splitting), the B-side fixed point, and A's damping rate as
-    ``reference_rate``: it scales times in reports and sets the sector
-    decay rates ``-|l| r / 2``.
+    is A, and the A-side fixed point, it carries the B-side fixed point,
+    and A's damping rate as ``reference_rate``: it scales times in
+    reports and sets the sector decay rates ``-|l| r / 2``.  A's two
+    damping channels lead ``L``'s jumps; ``a_terms`` gives them as dense
+    terms, formed on each read, for the sector splitting.
     """
 
     cfg: ModelConfig
     L: Liouvillian
     analytic_A_steady: np.ndarray
     analytic_B_steady: np.ndarray
-    a_terms: tuple[LindbladTerm, ...]
     reference_rate: float
     reference_name: str
     a_factors: tuple[int, ...]
     b_factors: tuple[int, ...]
 
+    @property
+    def a_terms(self) -> tuple[LindbladTerm, ...]:
+        return self.L.terms[:2]
+
+
+@lru_cache(maxsize=8)
+def _factor_parts(fa: hb.SubsystemSpec, fb: hb.SubsystemSpec):
+    """What every generator on the factors (A, B) shares, whatever its
+    numbers, formed from the factor matrices, read-only.
+
+    Returns the nonzeros of the four jumps ``l_A x 1``, its adjoint,
+    ``1 x l_B`` and its adjoint, and the ``hilbert.kron_products`` of H's
+    three terms ``E_A x 1``, ``1 x E_B`` and ``E_A x (l_B + l_B^dag)``.
+    The last 8 factor pairs are kept.
+    """
+    low, exc = zip(*((hb.mk_spin_ops(f)[0::2] if f.kind == SPIN
+                      else (hb.mk_destroy(f), hb.mk_number(f)))
+                     for f in (fa, fb)))
+    low, exc = [op.entries for op in low], [op.entries for op in exc]
+    eye = np.eye(fa.dim), np.eye(fb.dim)
+    jumps = []
+    for pair in ((low[0], eye[1]), (eye[0], low[1])):
+        row, col, (v,) = hb.kron_products([pair])
+        jumps += [(row, col, v), hb.dagger_nonzeros((row, col, v))]
+    h = hb.kron_products([(exc[0], eye[1]), (eye[0], exc[1]),
+                          (exc[0], low[1] + low[1].conj().T)])
+    for a in (*(x for nz in jumps for x in nz), h[0], h[1], *h[2]):
+        a.flags.writeable = False
+    return tuple(jumps), h
+
 
 def build_model(cfg) -> BuiltModel:
-    """Assemble the generator and reference data for a config."""
+    """Assemble the generator and reference data for a config.
+
+    Every operator is a sum of kron products of factor matrices, so no
+    composite matrix is formed: the jumps and H's terms come from the
+    factors (``_factor_parts``), and H's nonzeros are its terms scaled
+    and summed entry by entry, ``w_A E_A x 1 + w_B 1 x E_B + c E_A x X_B``
+    in that order, the exact zeros of the sum dropped.
+    """
     cfg = parse_config(cfg)
     a, b, coupling = _MODELS[cfg.model]
     truncs = iter(cfg.n_trunc if isinstance(cfg.n_trunc, tuple)
                   else (cfg.n_trunc,))
     factors = [hb.spin() if kind == SPIN else hb.oscillator(next(truncs))
                for kind, *_ in (a, b)]
-    sp = hb.space(*factors)
-    # per side: the factor-level lowering and excitation operators and
-    # the embedded excitation operator
-    lower_f, exc_f, exc, terms, fixed = [], [], [], [], []
-    for i, ((kind, _, rate, occ), f) in enumerate(zip((a, b), factors)):
+    jumps, (row, col, (t_a, t_b, t_ab)) = _factor_parts(*factors)
+    w_a, w_b, c = (getattr(cfg, f) for f in (a[1], b[1], coupling))
+    h = w_a * t_a + w_b * t_b + c * t_ab
+    rates, fixed = [], []
+    for (kind, _, rate, occ), f in zip((a, b), factors):
         r, x = getattr(cfg, rate), getattr(cfg, occ)
         if kind == SPIN:
-            low_f, _, E_f = hb.mk_spin_ops(f)
-            down, rho = 1.0 - x, spin_steady(x)
+            rates += [r * (1.0 - x), r * x]
+            fixed.append(spin_steady(x))
         else:
-            low_f, E_f = hb.mk_destroy(f), hb.mk_number(f)
-            down, rho = x + 1.0, thermal_state(x, f.dim)
-        low = hb.embed(low_f, i, sp)
-        lower_f.append(low_f.entries)
-        exc_f.append(E_f.entries)
-        exc.append(hb.embed(E_f, i, sp).entries)
-        terms += [LindbladTerm(low, r * down),
-                  LindbladTerm(low.dagger(), r * x)]
-        fixed.append(rho)
-    # E_A (l_B + l_B^dag) is a product of operators on different
-    # factors, so it is the kron of the factor matrices
-    coupling_op = hb.kron(exc_f[0], lower_f[1] + lower_f[1].conj().T)
-    H = hb.Operator(sp, getattr(cfg, a[1]) * exc[0]
-                    + getattr(cfg, b[1]) * exc[1]
-                    + getattr(cfg, coupling) * coupling_op)
-    L = Liouvillian(sp, H, terms)
-    return BuiltModel(cfg, L, fixed[0], fixed[1], L.terms[:2],
+            rates += [r * (x + 1.0), r * x]
+            fixed.append(thermal_state(x, f.dim))
+    keep = h != 0
+    L = Liouvillian.from_nonzeros(hb.space(*factors),
+                                  (row[keep], col[keep], h[keep]),
+                                  jumps, rates)
+    return BuiltModel(cfg, L, fixed[0], fixed[1],
                       getattr(cfg, a[2]), a[2], (0,), (1,))
 
 

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from .evolve import HERM_BRANCH_TOL, trace_norm
-from .hilbert import Operator, SPIN
+from .hilbert import SPIN
 from .liouvillian import (Liouvillian, block_triplets, sector_indices,
                           sparse_superoperator)
 
@@ -228,8 +228,12 @@ def trotter_compare(model, l: int, t: float,
     N_list = sorted(int(n) for n in N_list)
     if len(N_list) < 1 or N_list[0] < 1:
         raise ValueError("N_list must contain positive integers")
-    zero = Operator(L.space, np.zeros((L.dim, L.dim)))
-    MA = sector_generator_matrix(Liouvillian(L.space, zero, model.a_terms), l)
+    # the A-damping part: no hamiltonian, and A's channels, which lead
+    # L's jumps
+    n = len(model.a_terms)
+    none = (np.zeros(0, np.int32),) * 2 + (np.zeros(0, complex),)
+    MA = sector_generator_matrix(Liouvillian.from_nonzeros(
+        L.space, none, L.jumps[:n], L.rates[:n]), l)
     Mfull = sector_generator_matrix(L, l)
     Mrest = Mfull - MA
     comm = MA @ Mrest - Mrest @ MA

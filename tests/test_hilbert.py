@@ -102,6 +102,46 @@ def test_kron_equals_numpy_kron_bitwise():
         assert got.tobytes() == want.tobytes()
 
 
+def test_kron_products_give_dense_sum_nonzeros_bitwise():
+    # the scaled products summed in the dense order give the nonzeros of
+    # the dense sum bit for bit, signed zeros, cancellations and
+    # identities included; the adjoint's nonzeros are those of M^dag
+    rng = np.random.default_rng(17)
+
+    def factor(n, density):
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        x[rng.random((n, n)) > density] = 0.0
+        x.imag[rng.random((n, n)) < 0.3] = -0.0
+        return x
+
+    cancelled = 0
+    for dA, dB in [(2, 2), (2, 5), (4, 3), (3, 1)]:
+        for _ in range(10):
+            pairs = [(factor(dA, 0.5), np.eye(dB)),
+                     (np.eye(dA), factor(dB, 0.4)),
+                     (factor(dA, 0.6), factor(dB, 0.5))]
+            # a term that cancels the first wherever no other term is
+            # nonzero
+            pairs.append((-pairs[0][0], np.eye(dB)))
+            coefs = rng.normal(size=len(pairs))
+            coefs[3] = coefs[0]
+            dense = coefs[0] * hb.kron(*pairs[0])
+            for c, (a, b) in zip(coefs[1:], pairs[1:]):
+                dense = dense + c * hb.kron(a, b)
+            row, col, products = hb.kron_products(pairs)
+            total = coefs[0] * products[0]
+            for c, p in zip(coefs[1:], products[1:]):
+                total = total + c * p
+            keep = total != 0
+            cancelled += np.count_nonzero(~keep)
+            got = (row[keep], col[keep], total[keep])
+            for nz, M in ((got, dense),
+                          (hb.dagger_nonzeros(got), dense.conj().T)):
+                for x, y in zip(nz, hb.nonzeros(M), strict=True):
+                    assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert cancelled > 0
+
+
 def test_embed_factor_mismatch():
     sp = hb.space(hb.spin(), hb.oscillator(4))
     a = hb.mk_destroy(hb.oscillator(3))

@@ -3,14 +3,17 @@ the cached superoperator against a term-by-term dense reference (edge
 generators included) and its CSR layout, and the input checks and
 sharing rules of ``apply`` and ``sparse_superoperator``."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindpair import hilbert as hb
-from lindpair.liouvillian import (Liouvillian, LindbladTerm,
-                                  sparse_superoperator, trace_row_indices)
+from lindpair.liouvillian import (Liouvillian, LindbladTerm, _assemble,
+                                  _is_hermitian, sparse_superoperator,
+                                  trace_row_indices)
 from lindpair.models import ModelConfig, build_model
 
 
@@ -267,3 +270,143 @@ def test_nonhermitian_hamiltonian_rejected():
     with pytest.raises(ValueError):
         Liouvillian(sp, H, [])
 
+
+
+def _dense_view_terms(L):
+    """The kron terms of ``S`` formed from the dense views of ``L``:
+    the nonzeros of ``H`` and of each jump, and a dense drift
+    ``K = -i H - (1/2) sum_j r_j J_j^dag J_j`` whose ``J^dag J`` entries
+    are added pair by pair, in jump, row and column order."""
+    d = L.dim
+    K = -1j * L.hamiltonian.entries
+    terms = []
+    for t in L.terms:
+        r, c, v = hb.nonzeros(t.jump_op.entries)
+        a, b = np.nonzero(r[:, None] == r[None, :])
+        np.add.at(K, (c[a], c[b]), -0.5 * t.rate * v[a].conj() * v[b])
+        if t.rate != 0:
+            terms.append((t.rate, (r, c, v.conj()), (r, c, v)))
+    k = hb.nonzeros(K)
+    diag = np.arange(d, dtype=np.int32)
+    one = (diag, diag, np.ones(d))
+    return [(1.0, one, k), (1.0, (k[0], k[1], k[2].conj()), one)] + terms
+
+
+def _seeded_configs(model, n, seed):
+    """``n`` random configs of a model: signed frequencies, zero
+    occupations and couplings among them, small truncations."""
+    rng = np.random.default_rng(seed)
+    u = lambda lo=0.1, hi=2.0: float(rng.uniform(lo, hi))
+    freq = lambda: float(rng.choice([-1.0, 1.0])) * u()
+    zero_or = lambda: 0.0 if rng.random() < 0.25 else u(0.0, 1.0)
+    trunc = lambda: int(rng.integers(2, 9))
+    for _ in range(n):
+        if model == "two_spins":
+            yield dict(model=model, omega=freq(), gamma_A=u(), gamma_B=u(),
+                       s_A=zero_or(), s_B=zero_or(), Omega=zero_or())
+        elif model == "spin_oscillator":
+            yield dict(model=model, omega_A=freq(), omega_B=freq(),
+                       gamma_A=u(), gamma_B=u(), s=zero_or(),
+                       nbar=zero_or(), Omega=zero_or(), n_trunc=trunc())
+        else:
+            yield dict(model=model, omega=freq(), nu=freq(), kappa=u(),
+                       gamma=u(), nbar=zero_or(), mbar=zero_or(),
+                       g=zero_or(), n_trunc=(trunc(), trunc()))
+
+
+def _assert_same_arrays(S, R):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(S, name), getattr(R, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model", ["two_spins", "spin_oscillator",
+                                   "optomechanical"])
+def test_superoperator_bytes_match_dense_view_assembly(model):
+    # the drift summed on the nonzeros gives S bit for bit as the dense
+    # drift does; two_spins' frequency terms cancel on |01> and |10>
+    for c in _seeded_configs(model, 30, seed=len(model)):
+        L = build_model(ModelConfig(**c)).L
+        _assert_same_arrays(sparse_superoperator(L),
+                            _assemble(_dense_view_terms(L), L.dim))
+
+
+def test_random_generator_bytes_match_dense_view_assembly():
+    rng = np.random.default_rng(21)
+    generators = [_random_model(seed, dim_b=2 + seed % 4)[0]
+                  for seed in range(10)]
+    generators += [*_edge_generators(), _many_nonzero_jumps(rng)]
+    for L in generators:
+        _assert_same_arrays(sparse_superoperator(L),
+                            _assemble(_dense_view_terms(L), L.dim))
+
+
+def test_dense_views_are_not_kept():
+    L = build_model(ModelConfig(**_LAYOUT_CONFIGS["optomechanical"])).L
+    before = dict(vars(L))
+    H, terms = L.hamiltonian, L.terms
+    assert H.entries.shape == (L.dim, L.dim) and len(terms) == 4
+    assert vars(L).keys() == before.keys()
+    assert all(vars(L)[k] is v for k, v in before.items())
+    # what L keeps is the nonzero triplets: no array of it is 2-d
+    kept = [L.h, *L.jumps]
+    assert all(a.ndim == 1 and not a.flags.writeable
+               for nz in kept for a in nz)
+    for nz, M in zip(kept, [H, *(t.jump_op for t in terms)]):
+        for a, b in zip(nz, hb.nonzeros(M.entries)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_non_finite_entries_rejected():
+    sp = hb.space(hb.spin(), hb.oscillator(3))
+    d = sp.total_dim
+    zero = hb.Operator(sp, np.zeros((d, d)))
+    jump = hb.embed(hb.mk_destroy(hb.oscillator(3)), 1, sp).entries
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        J = jump.copy()
+        J[0, 1] = bad
+        H = np.eye(d, dtype=complex)
+        H[2, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="jump 1 has non-finite"):
+                Liouvillian(sp, zero, [LindbladTerm(hb.Operator(sp, M), 1.0)
+                                       for M in (jump, J)])
+            with pytest.raises(ValueError,
+                               match="hamiltonian has non-finite"):
+                Liouvillian(sp, hb.Operator(sp, H), [])
+            with pytest.raises(ValueError,
+                               match="hamiltonian has non-finite"):
+                Liouvillian.from_nonzeros(sp, hb.nonzeros(H), [], [])
+
+
+def test_from_nonzeros_checks_as_the_constructor():
+    sp = hb.space(hb.spin())
+    sm = hb.nonzeros(hb.mk_spin_ops(hb.spin())[0].entries)
+    with pytest.raises(ValueError, match="not hermitian"):
+        Liouvillian.from_nonzeros(sp, sm, [], [])
+    with pytest.raises(ValueError, match="rate"):
+        Liouvillian.from_nonzeros(sp, hb.nonzeros(np.eye(2)), [sm], [-1.0])
+    with pytest.raises(ValueError, match="1 jumps but 2 rates"):
+        Liouvillian.from_nonzeros(sp, hb.nonzeros(np.eye(2)), [sm],
+                                  [1.0, 1.0])
+
+
+def test_hermiticity_on_nonzeros_matches_dense_check():
+    # one criterion, |H - H^dag|_max <= TOL_HERM |H|_max, on either form;
+    # the asymmetric entries sit on both sides of the tolerance, and
+    # some have no partner across the diagonal
+    rng = np.random.default_rng(3)
+    sp = hb.space(hb.oscillator(6))
+    verdicts = set()
+    for _ in range(200):
+        X = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        X *= rng.random((6, 6)) < 0.5
+        X = X + X.conj().T
+        i, j = rng.integers(0, 6, size=2)
+        X[i, j] += rng.choice([0.5, 1.0, 2.0]) * hb.TOL_HERM \
+            * np.abs(X).max() * rng.choice([1.0, 1j])
+        dense = hb.Operator(sp, X).is_hermitian()
+        assert _is_hermitian(hb.nonzeros(X), 6) == dense
+        verdicts.add(dense)
+    assert verdicts == {True, False}

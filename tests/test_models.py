@@ -1,6 +1,7 @@
 """Config parsing and model assembly."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from lindpair import hilbert as hb
 from lindpair.evolve import trace_norm
 from lindpair.hilbert import mk_destroy, mk_number, mk_spin_ops, partial_trace
 from lindpair.liouvillian import sparse_superoperator
-from lindpair.models import (BuiltModel, ModelConfig, build_model,
-                             model_steady, parse_config)
+from lindpair.models import (BuiltModel, ModelConfig, _factor_parts,
+                             build_model, model_steady, parse_config)
 
 TWO_SPINS = dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5,
                  s_A=0.8, s_B=0.6, Omega=0.7)
@@ -240,36 +241,63 @@ def test_build_entries_equal_numpy_kron_bitwise(c, fields):
              lambda m: np.kron(np.eye(dA), m)]
     H = (c[fields[0]] * embed[0](exc[0]) + c[fields[1]] * embed[1](exc[1])
          + c[fields[2]] * np.kron(exc[0], low[1] + low[1].conj().T))
-    assert bm.L.hamiltonian.entries.tobytes() == H.tobytes()
+    # the generator keeps the nonzeros, bit for bit those of the dense
+    # products; its dense views hold the same entries, with +0 off the
+    # nonzeros
     jumps = [m for e, l in zip(embed, low) for m in (e(l), e(l).conj().T)]
-    for t, J in zip(bm.L.terms, jumps, strict=True):
-        assert t.jump_op.entries.tobytes() == \
-            np.ascontiguousarray(J).tobytes()
+    views = [bm.L.hamiltonian] + [t.jump_op for t in bm.L.terms]
+    for kept, view, M in zip((bm.L.h, *bm.L.jumps), views, (H, *jumps),
+                             strict=True):
+        for a, b in zip(kept, hb.nonzeros(M), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(view.entries, M)
 
 
 @pytest.mark.parametrize("c", [c for c, _ in _CI_CONFIGS],
                          ids=[c["model"] for c, _ in _CI_CONFIGS])
 def test_builds_share_factor_operators(c, monkeypatch):
-    # the factor operators are cached per spec, so a second build embeds
-    # the very objects of the first, and assembles the same S bit for bit
-    embedded = []
-    embed = hb.embed
+    # what a generator takes from its factors is formed once per factor
+    # pair: a second build holds the very (read-only) jump arrays of the
+    # first, forms no kron product, and assembles the same S bit for bit
+    products = []
+    kron_products = hb.kron_products
 
-    def recording_embed(op, i, target):
-        embedded.append(op)
-        return embed(op, i, target)
+    def recording_kron_products(pairs):
+        products.append(pairs)
+        return kron_products(pairs)
 
-    monkeypatch.setattr(hb, "embed", recording_embed)
+    monkeypatch.setattr(hb, "kron_products", recording_kron_products)
+    _factor_parts.cache_clear()
     first = build_model(c)
-    n = len(embedded)
+    n = len(products)
     second = build_model(c)
-    assert n > 0 and len(embedded) == 2 * n
-    assert all(a is b for a, b in zip(embedded[:n], embedded[n:]))
-    assert not any(op.entries.flags.writeable for op in embedded)
+    assert n == 3 and len(products) == n
+    # the factor operators themselves come from the per-spec caches
+    assert all(not m.flags.writeable for m in
+               (products[0][0][0], products[1][0][1], products[2][0][0]))
+    for J1, J2 in zip(first.L.jumps, second.L.jumps, strict=True):
+        assert all(a is b and not a.flags.writeable for a, b in zip(J1, J2))
     S1, S2 = (sparse_superoperator(bm.L) for bm in (first, second))
     assert S1 is not S2
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(S1, name), getattr(S2, name))
+
+
+def test_build_holds_no_dense_operator():
+    # the generator is built from the factors' nonzeros: at d=144 what a
+    # build leaves held is less than one d x d complex array
+    cfg = dict(OPTOMECH, n_trunc=[12, 12])
+    build_model(cfg)
+    # what the build caches per factor pair is counted too
+    _factor_parts.cache_clear()
+    tracemalloc.start()
+    try:
+        bm = build_model(cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    d = bm.L.dim
+    assert d == 144 and held < d * d * 16
 
 
 def test_interaction_preserves_a_marginal():
