@@ -21,10 +21,10 @@ from .spectral import (
 from .sectors import (
     project_sector, sector_decay_rate, check_decay_bound, trotter_compare,
 )
-from .steady import (
-    SteadyReport, DampingRecurrence,
-    thermal_state, spin_steady, solve_steady,
-    pure_damping_recurrence, damping_recurrence, off_diagonal_witness,
+from .steady import SteadyReport, thermal_state, spin_steady, solve_steady
+from .recurrence import (
+    DampingRecurrence, pure_damping_recurrence, damping_recurrence,
+    off_diagonal_witness,
 )
 from .moments import (
     MomentStateSpinOsc, MomentStateOptomech, GaussianAnsatz,

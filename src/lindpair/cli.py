@@ -136,6 +136,7 @@ def cmd_steady(args) -> int:
         "residual": report.residual,
         "block_dim": report.block_dim,
         "lu_fill": report.lu_fill,
+        "classes": report.classes,
         "degenerate": report.degenerate,
         "clipped_weight": report.clipped_weight,
         "invariance_A": trace_norm(redA - bm.analytic_A_steady),

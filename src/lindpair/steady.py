@@ -1,5 +1,4 @@
-"""Steady states: analytic fixed points, the block null-space solver,
-and the pure-damping recurrence oracle.
+"""Steady states: analytic fixed points and the block null-space solver.
 
 The composite steady state comes from one square sparse direct solve.
 The generator commutes with ``[V_A x 1, .]``, so its superoperator is
@@ -8,7 +7,7 @@ lies in the block that holds the diagonal (sector 0 for every coupled
 model, smaller when the pair decouples).  The block is a connected
 component of the superoperator's pattern, found by a breadth-first
 search from the first diagonal index and read straight off its CSR
-arrays; its last row, the first diagonal's, is replaced by the trace
+arrays; the row of the first diagonal index is replaced by the trace
 condition.  The block's unknowns are matrix elements (i, j) on the
 lattice of the factor levels of i and j, so they are numbered by
 nested dissection of that lattice (George, SIAM J. Numer. Anal. 10,
@@ -16,19 +15,27 @@ nested dissection of that lattice (George, SIAM J. Numer. Anal. 10,
 column order.  SuperLU pivots down each column, so it factors the
 system's transpose, which the block's canonical CSR arrays are when
 read as CSC, and solves with it transposed (Li, ACM Trans. Math.
-Softw. 31, 302 (2005)): the trace is the transpose's last column,
+Softw. 31, 302 (2005)): the trace is the last column of its class,
 eliminated last whatever its weight, and the pivot search runs along
 the system's rows.  In symmetric mode with threshold pivoting SuperLU
 keeps the order and leaves a diagonal only for one below 0.1 of its
 row's largest entry, so the order sets the cost and never the answer.
+The system is block triangular over its strongly connected classes
+(at zero temperature A's level n feeds n - 1, never n + 1), so the
+block is renumbered class by class, each after every class that feeds
+it, and each class is factored on its own (Duff & Reid, ACM TOMS 4,
+137 (1978); Davis & Palamadai Natarajan, ACM TOMS 37, 36 (2010)).
 Entries SuperLU stores for L and U, the fill of the unpivoted
 dissection order (a trace eliminated first joins every diagonal
-unknown into one dense clique: 4,399,655 entries at d=256):
+unknown into one dense clique: 4,399,655 entries at d=256), summed
+over the classes:
 
     spin-oscillator d=90 (n_trunc 45)        324,982
+    spin-oscillator d=90, s = nbar = 0       161,741   (one LU: 243,767)
     optomechanical (12, 15)                  427,138
     optomechanical (10, 12)                  168,013
     spin-oscillator d=256 (n_trunc 128)    3,933,896
+    optomechanical (16, 32), nbar = 0        616,404   (one LU: 3,024,145)
     optomechanical (12, 15), uncoupled         3,849
 
 The state is supported on the block's pairs (i, j), whose levels
@@ -44,12 +51,6 @@ dimensions and the index arrays of the factors' nonzeros, at most
 only the block's values, the LU and the postprocess on each solve, and
 never assembles the superoperator; a cancellation that changes the
 pattern under the same factors is detected and analysed afresh.
-The recurrence oracle iterates the Fock-basis relations of the damped
-oscillator steady state: the diagonal reproduces a geometric profile,
-while every off-diagonal forces a coefficient sequence whose partial
-sums grow without bound, so the corresponding matrix element must
-vanish; the coefficient positivity and monotonicity that drive that
-argument are checked in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -58,13 +59,12 @@ import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
-from fractions import Fraction
-from math import exp, factorial, lgamma, pi, prod, sqrt
+from math import prod
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_matvec, csr_sample_values
 
 from .evolve import blockwise_trace_norm, trace_norm
 from .hilbert import Operator
@@ -73,17 +73,11 @@ from .liouvillian import (Liouvillian, _assemble, _kron_terms, block_triplets,
 
 __all__ = [
     "SteadyReport",
-    "DampingRecurrence",
     "thermal_state",
     "spin_steady",
     "solve_steady",
-    "pure_damping_recurrence",
-    "damping_recurrence",
-    "off_diagonal_witness",
 ]
 
-# Exact-arithmetic coefficient verification cap.
-COEFF_EXACT_CAP = 25
 # Largest box of the steady block left uncut by the dissection order.
 _LEAF = 16
 
@@ -97,8 +91,10 @@ class SteadyReport:
     trace); ``clipped_weight`` is the total negative eigenvalue weight
     removed by the positivity repair; ``degenerate`` flags a null space
     of dimension above one (reported, not resolved); ``lu_fill`` is the
-    number of entries SuperLU stores for the block's L and U factors
-    (0 when the exactly singular block falls back to ``lsqr``).
+    number of entries SuperLU stores for the L and U factors, summed
+    over the strongly connected classes of the system, and ``classes``
+    the number of classes factored, 1 when the system is factored whole
+    (both 0 when an exactly singular class falls back to ``lsqr``).
     """
 
     rho_st: Operator
@@ -107,6 +103,7 @@ class SteadyReport:
     clipped_weight: float = 0.0
     degenerate: bool = False
     lu_fill: int = 0
+    classes: int = 0
 
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
@@ -262,14 +259,23 @@ class _Analysis:
     ``block`` holds the vec indices of the unknowns in solve order and
     ``degenerate`` the search's flag.  ``rptr`` and ``rcols`` are the
     block's canonical CSR row pointers and columns in block coordinates,
-    its values numbered in that order.  ``indices`` are those columns
-    with the last row's, the first diagonal's, replaced by the columns
-    of the trace row: with ``rptr`` ending at ``indices.size``, the
-    system's CSR arrays, or the CSC arrays of its transpose.  ``parts``
-    splits the state into diagonal blocks: one stack of vec indices
-    ``(m, k, k)`` per part size k, the ``[r, c]`` entry of a part with
-    levels ``a`` at ``a[c] d + a[r]``.  ``partial`` is set when the block
-    does not fill its parts' squares.
+    its values numbered in that order.  ``trace`` is the position of the
+    first diagonal index, whose row gives way to the trace row:
+    ``indices`` are the block's columns with that row's replaced by the
+    columns of the trace row, the system's CSR columns, or the CSC
+    columns of its transpose (``_system``).  ``parts`` splits the state
+    into diagonal blocks: one stack of vec indices ``(m, k, k)`` per
+    part size k, the ``[r, c]`` entry of a part with levels ``a`` at
+    ``a[c] d + a[r]``.  ``partial`` is set when the block does not fill
+    its parts' squares.
+
+    ``classes`` bounds the system's strongly connected classes, and
+    ``levels`` the runs of classes that feed no class of their run, as
+    indices into ``classes`` (``_classes``).  For more than one class,
+    ``dptr``, ``dcols`` and ``dpos`` hold each level's diagonal block:
+    per row, pointers into ``dcols``, the columns counted from the
+    level's start, and ``dpos``, the positions of those values among
+    the system's; a row's other values are off-level.
 
     ``pairs`` maps the kron terms of ``S`` (``_kron_terms``) onto the
     block: per term, the indices ``p`` and ``q`` of the left and right
@@ -283,7 +289,13 @@ class _Analysis:
     degenerate: bool
     rptr: np.ndarray
     rcols: np.ndarray
+    trace: int
     indices: np.ndarray
+    classes: np.ndarray
+    levels: np.ndarray
+    dptr: np.ndarray
+    dcols: np.ndarray
+    dpos: np.ndarray
     parts: tuple
     partial: bool
     pairs: tuple
@@ -291,7 +303,8 @@ class _Analysis:
 
     @property
     def arrays(self) -> tuple:
-        return ((self.block, self.rptr, self.rcols, self.indices)
+        return ((self.block, self.rptr, self.rcols, self.indices,
+                 self.classes, self.levels, self.dptr, self.dcols, self.dpos)
                 + self.parts + sum(self.pairs, ()))
 
     @property
@@ -350,31 +363,31 @@ def _term_pairs(ra, rb, i, k, d: int):
 
 
 def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
-               row: np.ndarray, col: np.ndarray) -> tuple[tuple, int]:
+               rptr: np.ndarray, col: np.ndarray) -> tuple[tuple, int]:
     """``_Analysis.pairs`` and ``groups`` for the block's values at the
-    canonical block rows ``row`` and columns ``col``.
+    canonical CSR arrays ``rptr`` and ``col`` of the block.
 
     Each term's products in the block's rows are enumerated
-    (``_term_pairs``); one lands in the value of its row and column or,
-    when ``S`` stores none there, in a group of its own vec (row,
-    column), numbered after the values.  So do products in the block's
-    columns from rows outside it, which the block's columns take only
-    if they take more products than its rows give them.  Each term
-    holds one pair per group at most.
+    (``_term_pairs``); one lands in the value of its row and column,
+    searched among its row's columns, or, when ``S`` stores none there,
+    in a group of its own vec (row, column), numbered after the values.
+    So do products in the block's columns from rows outside it, which
+    the block's columns take only if they take more products than its
+    rows give them.  Each term holds one pair per group at most.
     """
     dd, n = d * d, block.size
-    # the values' keys, ascending, and one past every key; with the
-    # stride n + 1 a column outside the block (local -1) keys as the
-    # unused column n of the row before, which matches no value
-    rkeys = np.append(row * np.int64(n + 1) + col, np.iinfo(np.int64).max)
+    # one past each value's position; a column outside the block
+    # (local -1) is read as the column n, which holds none
+    at = np.arange(1, col.size + 1, dtype=np.int32)
     i, k = np.divmod(block, d)
     found = []
     for _, (ra, ca, _), (rb, cb, _) in terms:
         t, p, q = _term_pairs(ra, rb, i, k, d)
         c = ca[p] * d + cb[q]
-        key = t * np.int64(n + 1) + local[c]
-        g = np.searchsorted(rkeys, key).astype(np.int32)
-        cut = rkeys[g] != key
+        g = np.zeros(t.size, dtype=np.int32)
+        csr_sample_values(n, n + 1, rptr, col, at, t.size, t, local[c], g)
+        g -= 1
+        cut = g < 0
         gone = block[t[cut]] * np.int64(dd) + c[cut]
         # products in the block's columns from rows outside it, which
         # exist when the columns take more than the rows give them
@@ -395,8 +408,59 @@ def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
         found.append((p, q, g, cut, gone))
     gone = np.unique(np.concatenate([f[4] for f in found]))
     for _, _, g, cut, key in found:
-        g[cut] = row.size + np.searchsorted(gone, key)
-    return tuple(f[:3] for f in found), row.size + gone.size
+        g[cut] = col.size + np.searchsorted(gone, key)
+    return tuple(f[:3] for f in found), col.size + gone.size
+
+
+def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
+    """CSR row pointers of n rows holding entries in the rows ``row``."""
+    ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=ptr[1:])
+    return ptr
+
+
+def _classes(indptr: np.ndarray, indices: np.ndarray):
+    """The strongly connected classes of the system with CSR arrays
+    ``indptr`` and ``indices``, ordered to solve it class by class;
+    None for one class.
+
+    Class a feeds class b when a row of b has a column in a; between
+    classes that is acyclic, so each class has a level, its longest path
+    from a class nothing feeds, and no class feeds one of its level.
+    Classes are sorted by level, then by first position, and positions
+    keep their order inside a class.  Returns the new order of the
+    positions, the class bounds in it, and the level bounds as indices
+    into those.
+    """
+    from scipy.sparse.csgraph import connected_components
+
+    n = indptr.size - 1
+    # on ones: csgraph casts complex values to real, which can cancel
+    pattern = sp.csr_matrix((np.ones(indices.size), indices, indptr),
+                            shape=(n, n))
+    k, label = connected_components(pattern, directed=True,
+                                    connection="strong")
+    if k == 1:
+        return None
+    a, b = label[indices], np.repeat(label, np.diff(indptr))
+    src, dst = np.divmod(np.unique(a[a != b] * np.int64(k) + b[a != b]), k)
+    level = np.zeros(k, dtype=np.intp)
+    # each sweep lengthens the paths by one edge, up to the longest
+    while True:
+        longer = level.copy()
+        np.maximum.at(longer, dst, level[src] + 1)
+        if np.array_equal(longer, level):
+            break
+        level = longer
+    first = np.unique(label, return_index=True)[1]
+    cls = np.lexsort((first, level))
+    rank = np.empty(k, dtype=np.intp)
+    rank[cls] = np.arange(k)
+    order = np.argsort(rank[label], kind="stable")
+    bounds = np.zeros(k + 1, dtype=np.int32)
+    np.cumsum(np.bincount(label)[cls], out=bounds[1:])
+    levels = np.flatnonzero(np.diff(level[cls], prepend=-1, append=-1))
+    return order, bounds, levels.astype(np.int32)
 
 
 def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
@@ -406,7 +470,11 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
     The block is found and ordered (``_trace_block``,
     ``_dissection_order``) and read off the CSR arrays
     (``block_triplets``); a connected component of the pattern is
-    closed, so no column falls outside.  Each row's columns are sorted,
+    closed, so no column falls outside.  The system, the block with
+    its last row, the first diagonal's, replaced by the trace row, is
+    split into strongly connected classes (``_classes``); when there
+    are several, the block is renumbered class by class and each
+    level's diagonal block is located.  Each row's columns are sorted,
     so that the block's CSR arrays, and the system's, are canonical.
     The state's diagonal blocks come from ``_parts`` and the map from
     the terms onto the block's values from ``_value_map``.  Every array
@@ -417,15 +485,42 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
     block = _dissection_order(block, dims)
     n = block.size
     row, col, _, local = block_triplets(S, block)
-    col = col[np.lexsort((col, row))]
-    rptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=n), out=rptr[1:])
+    rptr = _row_pointers(row, n)
     t = local[trace_row_indices(d)]
+    t = t[t >= 0]
+    indptr = rptr.copy()
+    indptr[-1] = rptr[-2] + t.size
+    found = _classes(indptr, np.concatenate([col[:rptr[-2]], t]))
+    classes = np.array([0, n], dtype=np.int32)
+    levels = np.array([0, 1], dtype=np.int32)
+    if found is not None:
+        order, classes, levels = found
+        new = np.empty(n, dtype=np.int32)
+        new[order] = np.arange(n, dtype=np.int32)
+        block, row, col, t = block[order], new[row], new[col], new[t]
+        local[block] = np.arange(n, dtype=np.int32)
+        rptr = _row_pointers(row, n)
+    # each row's columns ascending, by one sort of row-major keys
+    col = (np.sort(row * np.int64(n) + col) % n).astype(np.int32)
+    tr = int(local[trace_row_indices(d)[0]])
+    indices = np.concatenate([col[:rptr[tr]], np.sort(t), col[rptr[tr + 1]:]])
+    dptr = dcols = dpos = np.zeros(0, dtype=np.int32)
+    if found is not None:
+        # each value's level start; the values at or past it are the
+        # diagonal block's, the rest are off-level
+        indptr = rptr.copy()
+        indptr[tr + 1:] += t.size - (rptr[tr + 1] - rptr[tr])
+        start = np.repeat(classes[levels[:-1]], np.diff(classes[levels]))
+        lo = np.repeat(start, np.diff(indptr))
+        inside = indices >= lo
+        dpos = np.flatnonzero(inside).astype(np.int32)
+        dcols = (indices - lo)[inside]
+        dptr = _row_pointers(np.repeat(np.arange(n), np.diff(indptr))[inside],
+                             n)
     an = _Analysis(
-        block, degenerate, rptr, col,
-        np.concatenate([col[:rptr[-2]], np.sort(t[t >= 0])]),
-        *_parts(block, d, np.int32),
-        *_value_map(terms, d, block, local, row, col))
+        block, degenerate, rptr, col, tr, indices, classes, levels,
+        dptr, dcols, dpos, *_parts(block, d, np.int32),
+        *_value_map(terms, d, block, local, rptr, col))
     for a in an.arrays:
         a.flags.writeable = False
     return an
@@ -451,21 +546,69 @@ def _system(vals: np.ndarray, an: _Analysis):
     ``vals``, as CSC, and the trace weight ``w = max(1, max|vals|)``,
     which the trace row and the right-hand side carry.
 
-    The block's CSR rows, the last one the trace row, read as CSC give
-    the transpose, so the trace is its last column.
+    The block's CSR rows, the row of ``an.trace`` the trace row, read
+    as CSC give the transpose, whose column ``an.trace`` is the trace.
     """
-    n, lo = an.block.size, an.rptr[-2]
+    n, tr = an.block.size, an.trace
+    lo, hi = an.rptr[tr], an.rptr[tr + 1]
     w = np.abs(vals).max(initial=1.0)
     indptr = an.rptr.copy()
-    indptr[-1] = an.indices.size
-    data = np.concatenate([vals[:lo], np.full(indptr[-1] - lo, w)])
+    indptr[tr + 1:] += an.indices.size - vals.size
+    data = np.concatenate([vals[:lo], np.full(indptr[tr + 1] - lo, w),
+                           vals[hi:]])
     return sp.csc_matrix((data, an.indices, indptr), shape=(n, n)), w
+
+
+def _lu(A):
+    # A is a transpose: threshold pivoting in symmetric mode keeps its
+    # order unless a diagonal pivot is below 0.1 of its system row
+    return spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                     options=dict(SymmetricMode=True))
+
+
+def _solve_classes(A, b: np.ndarray, an: _Analysis) -> tuple[np.ndarray, int]:
+    """The solution of the system whose transpose is ``A``, right-hand
+    side ``b``, and the entries SuperLU stores for its factors.
+
+    One class is one ``splu`` of ``A``.  Otherwise the levels are solved
+    in order: a level's right-hand side is ``b`` less its rows' product
+    with the levels already solved, and its diagonal block, block
+    diagonal over its classes, is one ``splu`` whose factors are the
+    classes' own; a level of 1 x 1 classes is a division, counted as the
+    2 entries of a 1 x 1 LU.  A zero pivot raises RuntimeError.
+    """
+    if an.levels.size == 2:
+        lu = _lu(A)
+        return lu.solve(b, trans="T"), lu.nnz
+    n = b.size
+    x = np.zeros(n, dtype=complex)
+    vals = A.data[an.dpos]
+    bounds = an.classes[an.levels].tolist()
+    fill = 0
+    for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
+        m, p, q = e - s, an.dptr[s], an.dptr[e]
+        y = np.zeros(m, dtype=complex)
+        # the unknowns from s on are still zero
+        csr_matvec(m, n, A.indptr[s:e + 1], A.indices, A.data, x, y)
+        rhs = b[s:e] - y
+        if an.levels[k + 1] - an.levels[k] == m:
+            if q - p < m or not vals[p:q].all():
+                raise RuntimeError("a 1 x 1 class is exactly singular")
+            x[s:e] = rhs / vals[p:q]
+            fill += 2 * m
+        else:
+            lu = _lu(sp.csc_matrix((vals[p:q], an.dcols[p:q],
+                                    an.dptr[s:e + 1] - p), shape=(m, m)))
+            x[s:e] = lu.solve(rhs, trans="T")
+            fill += lu.nnz
+    return x, fill
 
 
 # Bytes of symbolic analyses kept between solves.  One pass of the
 # benchmark's steady sweep (102 solves, 10 patterns, blocks of 4 to
-# 4,050 unknowns) keeps 3.3 MB; one spin-oscillator analysis takes
-# 6.0 MB at d=256 (32,768 unknowns) and 24.0 MB at d=512 (131,072),
+# 4,050 unknowns) keeps 3.7 MB; one spin-oscillator analysis takes
+# 6.0 MB at d=256 (32,768 unknowns; 7.6 MB at s = 0, with the level
+# arrays of its two classes) and 24.0 MB at d=512 (131,072),
 # 60% of it the map from the factors onto the block's values, so the
 # bound holds a whole sweep next to one d=512 analysis, ~5% of the peak
 # memory of a d=512 solve.
@@ -519,60 +662,48 @@ def _analysis(L: Liouvillian, terms) -> tuple[_Analysis, np.ndarray]:
 def solve_steady(L: Liouvillian) -> SteadyReport:
     """Solve ``L(rho) = 0`` with unit trace.
 
-    The generator commutes with ``[V_A x 1, .]``, so its superoperator
-    is block diagonal and the fixed point lives in the block that holds
-    the diagonal.  That block is found as a connected component of the
-    pattern of ``S``, numbered in nested-dissection order on its level
-    lattice (``_dissection_order``) and read straight off the CSR
-    arrays of ``S``.  It is solved square and direct: the row of its
-    first diagonal index, numbered last, gives way to the trace
-    functional, weighted as the right-hand side to ``max(1, max|S|)``
-    on the block (``_system``).  The system's transpose, the block's
-    CSR arrays read as CSC, goes through ``splu`` in that order, in
-    symmetric mode with threshold pivoting (a diagonal pivot is kept
-    unless below 0.1 of its system row), and is solved transposed: the
-    trace, its last column, is eliminated last, and a diagonal leaves
-    its place only where it is small against its row, as for a spin at
-    s = 1 (rho_00 = 0).  A steady-state space of dimension above one is
-    flagged, with a RuntimeWarning, when the search from the first
-    diagonal index misses another, or the factorisation is exactly
-    singular; one solution is still returned, by least squares
-    (``lsqr``) on the same system.  The state is hermitized, and
-    eigenvalues in [-1e-8, 0) are clipped to zero with renormalization;
-    anything more negative aborts.  Those eigenvalues, the clip and the
-    residual are taken on the state's diagonal blocks (``_postprocess``),
-    not on the d x d matrix, the residual from the block's own rows.
+    The fixed point lives in the block of ``S`` that holds the diagonal:
+    a connected component of the pattern of ``S`` in nested-dissection
+    order (``_dissection_order``), whose first diagonal's row gives way
+    to the trace functional, weighted as the right-hand side to
+    ``max(1, max|S|)`` (``_system``).  The system is solved class by
+    class (``_classes``, ``_solve_classes``), each strongly connected
+    class after every class that feeds it, its transpose through
+    ``splu`` in its own order, in symmetric mode with threshold pivoting:
+    a diagonal pivot is kept unless below 0.1 of its system row, so the
+    trace goes last in its class, and a diagonal leaves its place only
+    where it is small, as for a spin at s = 1 (rho_00 = 0).  A
+    steady-state space of dimension above one is flagged, with a
+    RuntimeWarning, when the search from the first diagonal index misses
+    another, or a class is exactly singular; one solution is still
+    returned, by least squares (``lsqr``) on the whole system.  The
+    state is hermitized, and eigenvalues in [-1e-8, 0) are clipped to
+    zero with renormalization; anything more negative aborts.  The
+    eigenvalues, the clip and the residual are taken on the state's
+    diagonal blocks (``_postprocess``), the residual from the block's
+    own rows.
 
-    ``S`` is the sum of kron terms of the drift and the jumps
-    (``_kron_terms``), so its pattern is set, up to exact
-    cancellations, by the patterns of those factors.  Everything up to
-    the values is kept per factor pattern in a module cache (at most
-    ``_CACHE_BYTES``, least recently used out first): the block, its
-    order, the degeneracy flag, the block's CSR arrays and the system's
-    columns, the state's diagonal blocks, and the map from the factors'
-    nonzeros onto the block's values.  A sweep that changes only the
-    values of the generator, a coupling or a rate, assembles and
-    analyses ``S`` once per pattern; every other solve forms only the
-    block's values from the factors and never builds ``S``.  Those values are used only when the pattern of ``S`` is
-    provably the same: no value sums to exactly zero, and every product
-    group that cancelled in ``S`` still does; otherwise the pattern is
-    analysed afresh.  The values, the LU and the postprocess run on
-    every call, so a cached and a fresh analysis give the same bytes.
+    Everything up to the values is kept per factor pattern, the patterns
+    of the nonzeros of the drift and the jumps, in a module cache (at
+    most ``_CACHE_BYTES``, least recently used out first): a sweep that
+    changes only a coupling or a rate analyses ``S`` once per pattern,
+    and every other solve forms only the block's values from the
+    factors, never ``S``.  Those values are used only when the pattern
+    of ``S`` is provably the same: no value sums to exactly zero, and
+    every product group that cancelled in ``S`` still does; otherwise
+    the pattern is analysed afresh.  The values, the LU and the
+    postprocess run on every call, so a cached and a fresh analysis
+    give the same bytes.
     """
     d = L.dim
     an, vals = _analysis(L, _kron_terms(L))
     block, degenerate = an.block, an.degenerate
-    n = block.size
     A, w = _system(vals, an)
-    b = np.zeros(n, dtype=complex)
-    b[-1] = w
+    b = np.zeros(block.size, dtype=complex)
+    b[an.trace] = w
     try:
-        # A is the transpose: threshold pivoting in symmetric mode keeps
-        # the dissection order unless a diagonal pivot is below 0.1 of
-        # its system row, and the trace, A's last column, goes last
-        lu = spla.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                       options=dict(SymmetricMode=True))
-        x, fill = lu.solve(b, trans="T"), lu.nnz
+        x, fill = _solve_classes(A, b, an)
+        classes = an.classes.size - 1
     except RuntimeError:
         # exactly singular: a second steady state inside the block; least
         # squares on the same system.  No equation is lost: trace
@@ -580,159 +711,13 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
         # diagonal rows
         degenerate = True
         x = spla.lsqr(A.T, b, atol=1e-12, btol=1e-12)[0]
-        fill = 0
+        fill = classes = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x
     report = _postprocess(L, vec.reshape(d, d, order="F"), an, vals)
-    report.lu_fill = fill
+    report.lu_fill, report.classes = fill, classes
     if degenerate:
         report.degenerate = True
         warnings.warn("steady-state null space has dimension > 1; "
                       "returning one solution", RuntimeWarning)
     return report
-
-
-def pure_damping_recurrence(gamma1: float, gamma2: float,
-                            n_max: int) -> np.ndarray:
-    """Diagonal of the damped-oscillator steady state by recurrence.
-
-    Iterates the three-term population relation upward from
-    ``rho_00 = 1 - gamma2/gamma1`` and confirms the geometric closed
-    form ``(gamma2/gamma1)^n rho_00`` to 1e-12 before returning the
-    sequence.
-    """
-    if not 0.0 <= gamma2 < gamma1:
-        raise ValueError("need 0 <= gamma2 < gamma1 for a normalizable state")
-    eps = gamma2 / gamma1
-    rho = np.empty(n_max + 1)
-    rho[0] = 1.0 - eps
-    if n_max >= 1:
-        rho[1] = eps * rho[0]
-    for n in range(1, n_max):
-        rho[n + 1] = ((gamma1 * n + gamma2 * (n + 1)) * rho[n]
-                      - gamma2 * n * rho[n - 1]) / (gamma1 * (n + 1))
-    closed = eps ** np.arange(n_max + 1) * (1.0 - eps)
-    if np.abs(rho - closed).max() > 1e-12:
-        raise RuntimeError("diagonal recurrence deviates from closed form")
-    return rho
-
-
-def _fgh(n: int, l: int) -> tuple:
-    den = sqrt((n + 1) * (n + l + 1))
-    return ((n + l / 2.0) / den,
-            (n + 1 + l / 2.0) / den,
-            sqrt(n * (n + l)) / den)
-
-
-def _r_closed_zero(n: int, l: int) -> float:
-    # Gamma(n + l/2)/Gamma(l/2) * sqrt(l!/(n!(n+l)!))
-    return exp(lgamma(n + l / 2.0) - lgamma(l / 2.0)
-               + 0.5 * (lgamma(l + 1) - lgamma(n + 1) - lgamma(n + l + 1)))
-
-
-@dataclass
-class DampingRecurrence:
-    """Off-diagonal recurrence data for one diagonal l.
-
-    ``r_values`` holds r_{l,n} at ``epsilon = gamma2/gamma1``;
-    ``coeffs[n][i]`` are the epsilon-expansion coefficients a_i (floats
-    converted from exact rationals, built up to n = 25).
-    """
-
-    gamma1: float
-    gamma2: float
-    epsilon: float
-    l: int
-    r_values: np.ndarray
-    coeffs: list
-
-
-def _exact_coeffs(l: int, n_top: int) -> list:
-    """Epsilon-polynomial coefficients of the rescaled recurrence.
-
-    Working with u_n = r_n * sqrt(n!(n+l)!/l!) clears every square
-    root:  u_{n+1} = (n + l/2 + eps(n+1+l/2)) u_n - eps n(n+l) u_{n-1}.
-    Positivity of all coefficients and the cross-step monotonicity
-    a_i^{n-1} < a_{i+1}^n are decided exactly (squared comparison
-    against the integer scale factors) and violations raise.
-    """
-    l2 = Fraction(l, 2)
-    u: list[list[Fraction]] = [[Fraction(1)]]
-    if n_top >= 1:
-        u.append([l2, 1 + l2])
-    for n in range(1, n_top):
-        prev, cur = u[n - 1], u[n]
-        nxt = [Fraction(0)] * (n + 2)
-        for i, c in enumerate(cur):
-            nxt[i] += (n + l2) * c
-            nxt[i + 1] += (n + 1 + l2) * c
-        for i, c in enumerate(prev):
-            nxt[i + 1] -= Fraction(n * (n + l)) * c
-        u.append(nxt)
-    # s_n^2 = n!(n+l)!/l! as exact Fractions
-    s2 = [Fraction(factorial(n) * factorial(n + l), factorial(l))
-          for n in range(n_top + 1)]
-    for n, row in enumerate(u):
-        for i, c in enumerate(row):
-            if c <= 0:
-                raise RuntimeError(
-                    f"coefficient a_{i}^({n},{l}) not positive")
-    for n in range(1, n_top + 1):
-        for i, c_prev in enumerate(u[n - 1]):
-            c_next = u[n][i + 1]
-            # a_i^{n-1} < a_{i+1}^n  <=>  (c_prev)^2 s_n^2 < (c_next)^2 s_{n-1}^2
-            if c_prev * c_prev * s2[n] >= c_next * c_next * s2[n - 1]:
-                raise RuntimeError(
-                    f"monotonicity a_{i}^({n-1},{l}) < a_{i+1}^({n},{l}) fails")
-    coeffs = []
-    for n, row in enumerate(u):
-        scale = 1.0 / sqrt(float(s2[n]))
-        coeffs.append([float(c) * scale for c in row])
-    return coeffs
-
-
-def damping_recurrence(gamma1: float, gamma2: float, l: int,
-                       n_max: int) -> DampingRecurrence:
-    """Build the off-diagonal recurrence record for diagonal l >= 1."""
-    if not 0.0 <= gamma2 < gamma1:
-        raise ValueError("need 0 <= gamma2 < gamma1")
-    if l < 1:
-        raise ValueError("l must be at least 1")
-    eps = gamma2 / gamma1
-    r = np.empty(n_max + 1)
-    r[0] = 1.0
-    for n in range(n_max):
-        f, g, h = _fgh(n, l)
-        prev = r[n - 1] if n >= 1 else 0.0
-        r[n + 1] = (f + eps * g) * r[n] - eps * h * prev
-    coeffs = _exact_coeffs(l, min(n_max, COEFF_EXACT_CAP))
-    return DampingRecurrence(gamma1, gamma2, eps, l, r, coeffs)
-
-
-def off_diagonal_witness(epsilon: float, l: int, n_max: int):
-    """Recurrence witness that off-diagonals of the steady state vanish.
-
-    Returns ``(r_sequence, partial_sums, lower_bound_curve)``: the
-    recurrence values at the given epsilon, their partial sums, and the
-    Stirling-type lower bound ``1/(sqrt(pi e^(1/3)) (n+1))``.  Since
-    every expansion coefficient is positive, r at any epsilon dominates
-    the epsilon = 0 sequence, whose closed form is verified here
-    against the recurrence; the partial sums outgrow the trace-norm cap
-    carried by the shift-operator inequality, so the seed matrix
-    element must be zero.
-    """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValueError("epsilon must lie in [0, 1)")
-    rec = damping_recurrence(1.0, epsilon, l, n_max)
-    r0 = damping_recurrence(1.0, 0.0, l, n_max).r_values
-    closed = np.array([_r_closed_zero(n, l) for n in range(n_max + 1)])
-    rel = np.abs(r0 - closed) / np.maximum(closed, 1e-300)
-    # rounding in the recurrence accumulates like sqrt(n) ulps
-    gate = 1e-12 * (1.0 + np.sqrt(np.arange(n_max + 1)))
-    if np.any(rel > gate):
-        raise RuntimeError("epsilon=0 recurrence deviates from closed form")
-    ns = np.arange(n_max + 1)
-    lower = 1.0 / (sqrt(pi * exp(1.0 / 3.0)) * (ns + 1.0))
-    if np.any(r0 <= lower):
-        raise RuntimeError("Stirling lower bound violated")
-    return rec.r_values, np.cumsum(rec.r_values), lower

@@ -16,8 +16,8 @@ from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair.moments import steady_optomech, steady_spin_osc_excitation
 from lindpair.sectors import check_decay_bound, trotter_compare
 from lindpair.spectral import TAIL_MARGIN, osc_eigensystem, spin_eigensystem
-from lindpair.steady import damping_recurrence, off_diagonal_witness, \
-    solve_steady
+from lindpair.recurrence import damping_recurrence, off_diagonal_witness
+from lindpair.steady import solve_steady
 
 
 def _check(name: str, ok: bool, detail: str) -> None:

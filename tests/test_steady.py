@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.csgraph
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
@@ -16,11 +17,11 @@ from lindpair.liouvillian import (Liouvillian, LindbladTerm, _kron_terms,
                                   sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model, model_steady
 from lindpair import steady
+from lindpair.recurrence import (damping_recurrence, off_diagonal_witness,
+                                 pure_damping_recurrence)
 from lindpair.steady import (_analyse, _block_values, _dissection_order,
                              _postprocess, _system, _trace_block,
-                             damping_recurrence, off_diagonal_witness,
-                             pure_damping_recurrence, solve_steady,
-                             spin_steady, thermal_state)
+                             solve_steady, spin_steady, thermal_state)
 
 
 @settings(max_examples=20, deadline=None)
@@ -136,6 +137,8 @@ def test_dissection_order_cuts_lu_fill():
     # 0.71 with the trace row pivoted last, 0.80 when it is swapped in
     # at the first columns
     assert 0 < rep.lu_fill < 0.72 * COLAMD_FILL_N45
+    # one class: the whole block is one LU, as before the classes
+    assert rep.classes == 1 and rep.lu_fill == 324_982
     assert rep.residual <= 1e-9
 
 
@@ -365,6 +368,127 @@ def test_analysis_system_is_canonical_csc(n_trunc):
     for x, y in ((AT.indptr, B.indptr), (AT.indices, B.indices),
                  (AT.data, B.data)):
         assert np.array_equal(x, y)
+
+
+# Zero temperature on A: its damping only lowers A's excitation, so the
+# system splits into strongly connected classes solved one after another.
+# L.nnz + U.nnz of each system factored as one block, in the dissection
+# order with the trace row pivoted last.
+_ZERO_T = {
+    "so-s0-n0": (dict(_SO45, n_trunc=15, s=0.0, nbar=0.0), 15_559),
+    "so-s0-n.5": (dict(_SO45, n_trunc=15, s=0.0, nbar=0.5), 16_401),
+    "om-n0-m0": (dict(_OM1215, n_trunc=(10, 12), nbar=0.0, mbar=0.0), 93_582),
+    "om-n0-m.1": (dict(_OM1215, n_trunc=(10, 12), nbar=0.0, mbar=0.1),
+                  98_713),
+    "om-small-n0-m0": (dict(_OM1215, n_trunc=(4, 5), nbar=0.0, mbar=0.0),
+                       2_142),
+}
+
+
+def _class_of(an):
+    # each position's class, counted in solve order
+    return np.repeat(np.arange(an.classes.size - 1), np.diff(an.classes))
+
+
+@pytest.mark.parametrize("raw", [v[0] for v in _ZERO_T.values()],
+                         ids=list(_ZERO_T))
+def test_zero_temperature_system_is_block_lower_triangular(raw):
+    bm = build_model(raw)
+    an, vals = _analysed(bm.L)
+    A = _system(vals, an)[0]
+    n, K = an.block.size, an.classes.size - 1
+    assert K > 1 and an.classes[0] == 0 and an.classes[-1] == n
+    cls = _class_of(an)
+    # A is the transpose as CSC: its indptr and indices are the rows
+    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    assert np.all(cls[A.indices] <= cls[row])
+    # no class feeds another of its level
+    level = np.repeat(np.arange(an.levels.size - 1), np.diff(an.levels))
+    off = cls[A.indices] < cls[row]
+    assert np.all(level[cls[A.indices[off]]] < level[cls[row[off]]])
+    # each class is strongly connected
+    pattern = sp.csr_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                            shape=A.shape)
+    for a, b in zip(an.classes[:-1], an.classes[1:]):
+        assert scipy.sparse.csgraph.connected_components(
+            pattern[a:b, a:b], directed=True, connection="strong")[0] == 1
+    # the trace unknown, the first diagonal, is last in its class
+    assert an.block[an.trace] == trace_row_indices(bm.L.dim)[0]
+    assert an.trace + 1 in an.classes
+
+
+def _whole_system_reference(L):
+    # a sparse direct solve of the whole S with the trace row in place of
+    # the first diagonal's, independent of the block and its classes;
+    # for d^2 too large for the dense least squares
+    d = L.dim
+    M = sparse_superoperator(L).tolil()
+    M[0, :] = 0
+    M[0, trace_row_indices(d)] = 1.0
+    b = np.zeros(d * d, dtype=complex)
+    b[0] = 1.0
+    rho = spla.spsolve(M.tocsc(), b).reshape(d, d, order="F")
+    return 0.5 * (rho + rho.conj().T)
+
+
+@pytest.mark.parametrize("raw, one_block_fill", list(_ZERO_T.values()),
+                         ids=list(_ZERO_T))
+def test_zero_temperature_classes_match_reference(raw, one_block_fill):
+    bm = build_model(raw)
+    rep = model_steady(bm)
+    ref = (_lstsq_reference(bm.L) if bm.L.dim <= 30
+           else _whole_system_reference(bm.L))
+    assert trace_norm(rep.rho_st.entries - ref) <= 1e-12
+    assert rep.classes > 1 and not rep.degenerate
+    assert 0 < rep.lu_fill < one_block_fill
+    assert rep.residual <= 1e-12
+
+
+def test_excited_spin_is_one_class():
+    # at s = 1, A's pump and damping join its levels both ways
+    rep = model_steady(build_model(dict(_SO45, s=1.0, n_trunc=15)))
+    assert rep.classes == 1 and rep.residual <= 1e-9
+
+
+def test_classes_fed_by_the_trace_class():
+    # level 2 decays into |0> + |1>, 1 decays to 0 and 0 is pumped to 2:
+    # the populations and the trace form one class, which feeds the
+    # coherences (0, 1) and (1, 0), each a 1 x 1 class that feeds nothing
+    # back; their right-hand side is the trace class's solution
+    spc = hb.space(hb.oscillator(3))
+    J, J2, J3 = (np.zeros((3, 3), complex) for _ in range(3))
+    J[0, 2] = J[1, 2] = J2[0, 1] = J3[2, 0] = 1.0
+    L = Liouvillian(spc, hb.Operator(spc, np.diag([0.0, 0.3, 1.0])
+                                     .astype(complex)),
+                    [LindbladTerm(hb.Operator(spc, M), r)
+                     for M, r in ((J, 1.0), (J2, 0.7), (J3, 0.4))])
+    an = _analysed(L)[0]
+    assert list(an.classes) == [0, 3, 4, 5] and an.trace == 2
+    rep = solve_steady(L)
+    assert rep.classes == 3 and not rep.degenerate
+    assert abs(rep.rho_st.entries[0, 1]) > 0.1
+    assert trace_norm(rep.rho_st.entries - _lstsq_reference(L)) <= 1e-12
+    assert rep.residual <= 1e-12
+
+
+def test_singular_one_by_one_class_falls_back():
+    # level 2 decays to 0 and to 1, both dark: the population (1, 1) is a
+    # class of its own with no diagonal, so the level solve meets an
+    # exactly singular 1 x 1 class; least squares on the whole system
+    # returns one of the two steady states
+    spc = hb.space(hb.oscillator(3))
+    J1, J2 = np.zeros((3, 3), complex), np.zeros((3, 3), complex)
+    J1[0, 2] = J2[1, 2] = 1.0
+    L = Liouvillian(spc, hb.Operator(spc, np.diag([0.0, 0.3, 1.0])
+                                     .astype(complex)),
+                    [LindbladTerm(hb.Operator(spc, J1), 1.0),
+                     LindbladTerm(hb.Operator(spc, J2), 0.6)])
+    an = _analysed(L)[0]
+    assert an.classes.size - 1 == 3 and not an.degenerate
+    with pytest.warns(RuntimeWarning):
+        rep = solve_steady(L)
+    assert rep.degenerate and rep.lu_fill == 0 and rep.classes == 0
+    assert rep.residual <= 1e-10
 
 
 def _report_bytes(rep):
