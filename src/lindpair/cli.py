@@ -137,6 +137,7 @@ def cmd_steady(args) -> int:
         "block_dim": report.block_dim,
         "lu_fill": report.lu_fill,
         "classes": report.classes,
+        "certified": report.certified,
         "degenerate": report.degenerate,
         "clipped_weight": report.clipped_weight,
         "invariance_A": trace_norm(redA - bm.analytic_A_steady),

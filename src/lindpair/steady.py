@@ -2,55 +2,42 @@
 
 The composite steady state comes from one square sparse direct solve.
 The generator commutes with ``[V_A x 1, .]``, so its superoperator is
-block diagonal over excitation-difference sectors and the fixed point
-lies in the block that holds the diagonal (sector 0 for every coupled
-model, smaller when the pair decouples).  The block is a connected
-component of the superoperator's pattern, found by a breadth-first
-search from the first diagonal index and read straight off its CSR
-arrays; the row of the first diagonal index is replaced by the trace
-condition.  The block's unknowns are matrix elements (i, j) on the
-lattice of the factor levels of i and j, so they are numbered by
-nested dissection of that lattice (George, SIAM J. Numer. Anal. 10,
-345 (1973)), which fills the factors far less than SuperLU's default
-column order.  SuperLU pivots down each column, so it factors the
-system's transpose, which the block's canonical CSR arrays are when
-read as CSC, and solves with it transposed (Li, ACM Trans. Math.
-Softw. 31, 302 (2005)): the trace is the last column of its class,
-eliminated last whatever its weight, and the pivot search runs along
-the system's rows.  In symmetric mode with threshold pivoting SuperLU
-keeps the order and leaves a diagonal only for one below 0.1 of its
-row's largest entry, so the order sets the cost and never the answer.
-The system is block triangular over its strongly connected classes
-(at zero temperature A's level n feeds n - 1, never n + 1), so the
-block is renumbered class by class, each after every class that feeds
-it, and each class is factored on its own (Duff & Reid, ACM TOMS 4,
-137 (1978); Davis & Palamadai Natarajan, ACM TOMS 37, 36 (2010)).
-Entries SuperLU stores for L and U, the fill of the unpivoted
-dissection order (a trace eliminated first joins every diagonal
-unknown into one dense clique: 4,399,655 entries at d=256), summed
-over the classes:
+block diagonal over excitation-difference sectors; the fixed point lies
+in the block that holds the diagonal, the connected component of the
+pattern of ``S`` that holds the first diagonal index, whose row gives
+way to the trace condition.  The block's unknowns (i, j) sit on the
+lattice of the factor levels of i and j and are numbered by nested
+dissection of it (George, SIAM J. Numer. Anal. 10, 345 (1973)).
+SuperLU pivots down each column, so it factors the system's transpose,
+the block's canonical CSR arrays read as CSC, in that order with
+symmetric threshold pivoting (Li, ACM Trans. Math. Softw. 31, 302
+(2005)): the trace, the last column of its class, is eliminated last,
+and the order sets the cost, never the answer.  The system is block
+triangular over its strongly connected classes (at zero temperature
+A's level n feeds n - 1, never n + 1), solved level by level (Duff &
+Reid, ACM TOMS 4, 137 (1978); Davis & Palamadai Natarajan, ACM TOMS 37,
+36 (2010)).  A level before the trace's has a zero right-hand side: it
+is zero once a Gershgorin bound on its Hermitian part, in which the
+Hamiltonian cancels, shows it nonsingular, and only the other levels
+are factored.  Entries SuperLU stores for L and U, summed over them:
 
     spin-oscillator d=90 (n_trunc 45)        324,982
-    spin-oscillator d=90, s = nbar = 0       161,741   (one LU: 243,767)
+    spin-oscillator d=90, s = nbar = 0        81,116   (one LU: 243,767)
     optomechanical (12, 15)                  427,138
     optomechanical (10, 12)                  168,013
     spin-oscillator d=256 (n_trunc 128)    3,933,896
-    optomechanical (16, 32), nbar = 0        616,404   (one LU: 3,024,145)
+    optomechanical (16, 32), nbar = 0         10,018   (one LU: 3,024,145)
     optomechanical (12, 15), uncoupled         3,849
 
-The state is supported on the block's pairs (i, j), whose levels
-split it into diagonal blocks (15 x 15 ones at optomechanical
-(12, 15)); its positivity check, clip and residual run block by block,
-the residual on the block's own rows.
-All of that up to the values is a symbolic analysis of the pattern of
-the superoperator, which is the sum of kron products of the drift and
-the jumps: the analysis also maps the nonzeros of those factors onto
-the block's values.  It is cached per factor pattern (the factor
-dimensions and the index arrays of the factors' nonzeros, at most
-``_CACHE_BYTES`` retained), so a sweep over couplings or rates forms
-only the block's values, the LU and the postprocess on each solve, and
-never assembles the superoperator; a cancellation that changes the
-pattern under the same factors is detected and analysed afresh.
+The state is supported on the block's pairs (i, j), whose levels split
+it into diagonal blocks; its positivity check, clip and residual run
+block by block.  Everything up to the values is a symbolic analysis of
+the pattern of ``S``, the sum of kron products of the drift and the
+jumps, with a map from those factors' nonzeros onto the block's values.
+It is cached per factor pattern (at most ``_CACHE_BYTES``), so a sweep
+over couplings or rates forms only the block's values, the solve and
+the postprocess, and never assembles ``S``; a cancellation that changes
+the pattern is analysed afresh.
 """
 
 from __future__ import annotations
@@ -87,14 +74,14 @@ class SteadyReport:
     """Solver output with its own quality metrics.
 
     ``residual`` is the trace norm of ``L(rho_st)``; ``block_dim`` is
-    the number of unknowns solved (the size of the block that holds the
-    trace); ``clipped_weight`` is the total negative eigenvalue weight
+    the number of unknowns solved; ``clipped_weight`` is the total negative eigenvalue weight
     removed by the positivity repair; ``degenerate`` flags a null space
-    of dimension above one (reported, not resolved); ``lu_fill`` is the
-    number of entries SuperLU stores for the L and U factors, summed
-    over the strongly connected classes of the system, and ``classes``
-    the number of classes factored, 1 when the system is factored whole
-    (both 0 when an exactly singular class falls back to ``lsqr``).
+    of dimension above one (reported, not resolved); ``classes`` is the
+    number of strongly connected classes of the system, 1 when it is
+    factored whole, ``certified`` the number shown nonsingular and
+    solved to zero with no factorization, and ``lu_fill`` the number of
+    entries SuperLU stores for the L and U factors of the others (all
+    three 0 when an exactly singular class falls back to ``lsqr``).
     """
 
     rho_st: Operator
@@ -104,6 +91,7 @@ class SteadyReport:
     degenerate: bool = False
     lu_fill: int = 0
     classes: int = 0
+    certified: int = 0
 
 
 def thermal_state(nbar: float, dim: int) -> np.ndarray:
@@ -131,15 +119,14 @@ def _postprocess(L: Liouvillian, raw: np.ndarray, an: _Analysis,
                  vals: np.ndarray) -> SteadyReport:
     """Hermitize, normalize, check positivity and take the residual.
 
-    ``raw`` is supported on the pairs of the block of ``an``, so every
-    step runs on the diagonal blocks ``an.parts`` of the state: its
-    eigenvalues, the clip and the residual's trace norm, with one
-    LAPACK call per part size.  The residual ``S vec(rho)`` comes from
-    the block's own CSR rows with the values ``vals``: the block is a
-    closed component of ``S``, so no other row of ``S`` meets the
-    state.  Only a clip on a block that leaves holes in its parts'
-    squares (``an.partial``) can move the state off the block, and then
-    the residual is ``L.apply`` on the whole matrix.
+    ``raw`` is supported on the block's pairs, so the eigenvalues, the
+    clip and the residual's trace norm run on the state's diagonal
+    blocks ``an.parts``, one LAPACK call per part size, and
+    ``S vec(rho)`` comes from the block's own CSR rows with the values
+    ``vals``: the block is a closed component of ``S``.  Only a clip on
+    a block that leaves holes in its parts' squares (``an.partial``) can
+    move the state off the block; the residual is then ``L.apply`` on
+    the whole matrix.
     """
     # column-major like vec, so that flat is a view of rho
     rho = np.add(raw, raw.conj().T, order="F")
@@ -207,18 +194,14 @@ def _trace_block(S: sp.csr_matrix, d: int) -> tuple[np.ndarray, bool]:
 def _dissection_order(block: np.ndarray, dims: tuple) -> np.ndarray:
     """``block`` reordered for a sparse LU with little fill.
 
-    The unknowns are matrix elements (i, j), placed on the lattice of
-    the factor levels of i and of j; ladder and number operators move
-    each level by at most one, so a plane of constant level separates
-    the two sides of a box.  Nested dissection on that lattice: each
-    box with more than ``_LEAF`` unknowns is cut at the middle of its
-    longest side, and its two halves come before the cutting plane.
-    The boxes of one level are cut together, with no recursion.  The
-    first element, the first diagonal index, goes last: its row
-    becomes the trace row, and eliminating it early would join every
-    diagonal unknown into one dense clique.  As the last column of the
-    factored transpose (``_system``) it is eliminated last.  The order
-    only sets the fill; any permutation gives the same solution.
+    The unknowns (i, j) sit on the lattice of the factor levels of i and
+    of j; ladder and number operators move each level by at most one,
+    so a plane of constant level separates a box's two sides.  Each box
+    of more than ``_LEAF`` unknowns is cut at the middle of its longest
+    side, its halves before the plane, one level of boxes at a time.
+    The first diagonal index goes last: its row becomes the trace row,
+    which eliminated early would join every diagonal unknown into one
+    dense clique.  Any order gives the same solution.
     """
     rest = block[1:]
     if block.size <= _LEAF:
@@ -275,7 +258,9 @@ class _Analysis:
     ``dptr``, ``dcols`` and ``dpos`` hold each level's diagonal block:
     per row, pointers into ``dcols``, the columns counted from the
     level's start, and ``dpos``, the positions of those values among
-    the system's; a row's other values are off-level.
+    the system's; a row's other values are off-level.  ``tpos`` holds,
+    for each of those values before the trace's level, the position of
+    its transpose partner among them, -1 where none is stored.
 
     ``pairs`` maps the kron terms of ``S`` (``_kron_terms``) onto the
     block: per term, the indices ``p`` and ``q`` of the left and right
@@ -296,6 +281,7 @@ class _Analysis:
     dptr: np.ndarray
     dcols: np.ndarray
     dpos: np.ndarray
+    tpos: np.ndarray
     parts: tuple
     partial: bool
     pairs: tuple
@@ -304,7 +290,8 @@ class _Analysis:
     @property
     def arrays(self) -> tuple:
         return ((self.block, self.rptr, self.rcols, self.indices,
-                 self.classes, self.levels, self.dptr, self.dcols, self.dpos)
+                 self.classes, self.levels, self.dptr, self.dcols, self.dpos,
+                 self.tpos)
                 + self.parts + sum(self.pairs, ()))
 
     @property
@@ -373,7 +360,8 @@ def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
     in a group of its own vec (row, column), numbered after the values.
     So do products in the block's columns from rows outside it, which
     the block's columns take only if they take more products than its
-    rows give them.  Each term holds one pair per group at most.
+    rows give them.  Each term holds one pair per group at most.  The
+    indices take the smallest unsigned type that holds them.
     """
     dd, n = d * d, block.size
     # one past each value's position; a column outside the block
@@ -409,7 +397,9 @@ def _value_map(terms, d: int, block: np.ndarray, local: np.ndarray,
     gone = np.unique(np.concatenate([f[4] for f in found]))
     for _, _, g, cut, key in found:
         g[cut] = col.size + np.searchsorted(gone, key)
-    return tuple(f[:3] for f in found), col.size + gone.size
+    groups = col.size + gone.size
+    small = np.min_scalar_type(max(groups, d * d))
+    return tuple(tuple(a.astype(small) for a in f[:3]) for f in found), groups
 
 
 def _row_pointers(row: np.ndarray, n: int) -> np.ndarray:
@@ -469,16 +459,14 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
 
     The block is found and ordered (``_trace_block``,
     ``_dissection_order``) and read off the CSR arrays
-    (``block_triplets``); a connected component of the pattern is
-    closed, so no column falls outside.  The system, the block with
-    its last row, the first diagonal's, replaced by the trace row, is
-    split into strongly connected classes (``_classes``); when there
-    are several, the block is renumbered class by class and each
-    level's diagonal block is located.  Each row's columns are sorted,
-    so that the block's CSR arrays, and the system's, are canonical.
-    The state's diagonal blocks come from ``_parts`` and the map from
-    the terms onto the block's values from ``_value_map``.  Every array
-    is read-only.
+    (``block_triplets``).  The system, the block with the first
+    diagonal's row replaced by the trace row, is split into strongly
+    connected classes (``_classes``); when there are several, the block
+    is renumbered class by class and each level's diagonal block is
+    located.  Each row's columns are sorted, so the block's CSR arrays,
+    and the system's, are canonical.  ``_parts`` and ``_value_map`` add
+    the state's diagonal blocks and the map from the terms onto the
+    block's values.  Every array is read-only.
     """
     d = prod(dims)
     block, degenerate = _trace_block(S, d)
@@ -504,7 +492,7 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
     col = (np.sort(row * np.int64(n) + col) % n).astype(np.int32)
     tr = int(local[trace_row_indices(d)[0]])
     indices = np.concatenate([col[:rptr[tr]], np.sort(t), col[rptr[tr + 1]:]])
-    dptr = dcols = dpos = np.zeros(0, dtype=np.int32)
+    dptr = dcols = dpos = tpos = np.zeros(0, dtype=np.int32)
     if found is not None:
         # each value's level start; the values at or past it are the
         # diagonal block's, the rest are off-level
@@ -515,11 +503,18 @@ def _analyse(S: sp.csr_matrix, terms, dims: tuple) -> _Analysis:
         inside = indices >= lo
         dpos = np.flatnonzero(inside).astype(np.int32)
         dcols = (indices - lo)[inside]
-        dptr = _row_pointers(np.repeat(np.arange(n), np.diff(indptr))[inside],
-                             n)
+        r = np.repeat(np.arange(n), np.diff(indptr))[inside]
+        dptr = _row_pointers(r, n)
+        # the transpose partners of the values before the trace's level,
+        # whose row-major keys ascend; -1 where S stores none
+        m = dptr[start[tr]]
+        key = r[:m] * np.int64(n) + indices[dpos[:m]]
+        back = indices[dpos[:m]] * np.int64(n) + r[:m]
+        tpos = np.searchsorted(key, back).astype(np.int32)
+        tpos[np.append(key, -1)[tpos] != back] = -1
     an = _Analysis(
         block, degenerate, rptr, col, tr, indices, classes, levels,
-        dptr, dcols, dpos, *_parts(block, d, np.int32),
+        dptr, dcols, dpos, tpos, *_parts(block, d, np.int32),
         *_value_map(terms, d, block, local, rptr, col))
     for a in an.arrays:
         a.flags.writeable = False
@@ -566,27 +561,57 @@ def _lu(A):
                      options=dict(SymmetricMode=True))
 
 
-def _solve_classes(A, b: np.ndarray, an: _Analysis) -> tuple[np.ndarray, int]:
-    """The solution of the system whose transpose is ``A``, right-hand
-    side ``b``, and the entries SuperLU stores for its factors.
+def _margins(vals: np.ndarray, an: _Analysis) -> tuple[np.ndarray, ...]:
+    """Per row before the trace's level, of its level's diagonal block M
+    with the values ``vals``: Re M_rr + sum_{c != r} |H_rc| on the
+    Hermitian part H = (M + M^dag) / 2, and sum_c |M_rc|."""
+    b, t = an.classes[an.levels], an.tpos
+    m = b[b <= an.trace][-1]
+    v = vals[:t.size]
+    h = 0.5 * (v + np.append(v, 0)[t].conj())
+    g = np.where(t == np.arange(t.size), h.real, abs(h))
+    r = np.repeat(np.arange(m), np.diff(an.dptr[:m + 1]))
+    # an entry with no partner adds |H_cr| = |H_rc| to row c too
+    one = t < 0
+    c = an.indices[an.dpos[:t.size]][one]
+    return (np.bincount(r, g, m) + np.bincount(c, abs(h[one]), m),
+            np.bincount(r, abs(v), m))
 
-    One class is one ``splu`` of ``A``.  Otherwise the levels are solved
-    in order: a level's right-hand side is ``b`` less its rows' product
-    with the levels already solved, and its diagonal block, block
-    diagonal over its classes, is one ``splu`` whose factors are the
-    classes' own; a level of 1 x 1 classes is a division, counted as the
-    2 entries of a 1 x 1 LU.  A zero pivot raises RuntimeError.
+
+# The certificate's rounding slack, relative to a row's sum of |M|
+_SLACK = 1e-12
+
+
+def _solve_classes(A, b: np.ndarray, an: _Analysis) -> tuple:
+    """The solution of the system whose transpose is ``A``, right-hand
+    side ``b``, the entries SuperLU stores for its factors and the
+    number of classes certified.
+
+    One class is one ``splu`` of ``A``.  Otherwise the levels go in
+    order.  A level before the trace's has a zero right-hand side, so it
+    is zero if its diagonal block M is nonsingular: certified when each
+    row's bound (``_margins``) is below zero by ``_SLACK``, as then
+    Re v^dag M v < 0 for v != 0.  Any other level's right-hand side is
+    ``b`` less its rows' product with the levels solved, and its
+    diagonal block, block diagonal over its classes, is one ``splu``; a
+    level of 1 x 1 classes is a division, counted as the 2 entries of a
+    1 x 1 LU.  A zero pivot raises RuntimeError.
     """
     if an.levels.size == 2:
         lu = _lu(A)
-        return lu.solve(b, trans="T"), lu.nnz
+        return lu.solve(b, trans="T"), lu.nnz, 0
     n = b.size
     x = np.zeros(n, dtype=complex)
     vals = A.data[an.dpos]
+    bound, size = _margins(vals, an)
+    sure = bound + _SLACK * size
     bounds = an.classes[an.levels].tolist()
-    fill = 0
+    fill = certified = 0
     for k, (s, e) in enumerate(zip(bounds[:-1], bounds[1:])):
         m, p, q = e - s, an.dptr[s], an.dptr[e]
+        if e <= sure.size and (sure[s:e] < 0).all():
+            certified += an.levels[k + 1] - an.levels[k]
+            continue
         y = np.zeros(m, dtype=complex)
         # the unknowns from s on are still zero
         csr_matvec(m, n, A.indptr[s:e + 1], A.indices, A.data, x, y)
@@ -601,17 +626,15 @@ def _solve_classes(A, b: np.ndarray, an: _Analysis) -> tuple[np.ndarray, int]:
                                     an.dptr[s:e + 1] - p), shape=(m, m)))
             x[s:e] = lu.solve(rhs, trans="T")
             fill += lu.nnz
-    return x, fill
+    return x, fill, int(certified)
 
 
 # Bytes of symbolic analyses kept between solves.  One pass of the
-# benchmark's steady sweep (102 solves, 10 patterns, blocks of 4 to
-# 4,050 unknowns) keeps 3.7 MB; one spin-oscillator analysis takes
-# 6.0 MB at d=256 (32,768 unknowns; 7.6 MB at s = 0, with the level
-# arrays of its two classes) and 24.0 MB at d=512 (131,072),
-# 60% of it the map from the factors onto the block's values, so the
-# bound holds a whole sweep next to one d=512 analysis, ~5% of the peak
-# memory of a d=512 solve.
+# benchmark's steady sweep (102 solves, 10 patterns) keeps 2.9 MB; a
+# spin-oscillator analysis takes 6.0 MB at d=256 (8.1 MB at s = 0) and
+# 24.0 MB at d=512, 60% of it the map from the factors onto the block's
+# values: the bound holds a sweep next to one d=512 analysis, ~5% of
+# the peak memory of a d=512 solve.
 _CACHE_BYTES = 32 << 20
 _analyses: OrderedDict = OrderedDict()
 _analyses_lock = threading.Lock()
@@ -628,14 +651,12 @@ def _analysis(L: Liouvillian, terms) -> tuple[_Analysis, np.ndarray]:
     """The analysis of ``L``'s steady block and the block's values.
 
     A cached analysis of the same key serves when its values are exact
-    (``_block_values``).  Otherwise ``S`` is assembled, unless ``L``
-    already holds it, without being cached on ``L``, and analysed; the
-    new analysis replaces the entry under the key, and its values are
-    used as they are (a cancellation that only ``S``'s own summation
-    order makes exact leaves them inexact, and each later hit analyses
-    afresh).  Least recently used out first, with at most
-    ``_CACHE_BYTES`` retained; an analysis larger than that is not
-    kept.
+    (``_block_values``).  Otherwise ``S``, ``L``'s own or assembled and
+    not kept, is analysed and replaces the entry under the key; its
+    values are used as they are (a cancellation that only ``S``'s own
+    summation order makes exact leaves them inexact, and each later hit
+    analyses afresh).  Least recently used out first, with at most
+    ``_CACHE_BYTES`` retained; a larger analysis is not kept.
     """
     dims = L.space.dims
     key = _pattern_key(terms, dims)
@@ -662,38 +683,27 @@ def _analysis(L: Liouvillian, terms) -> tuple[_Analysis, np.ndarray]:
 def solve_steady(L: Liouvillian) -> SteadyReport:
     """Solve ``L(rho) = 0`` with unit trace.
 
-    The fixed point lives in the block of ``S`` that holds the diagonal:
-    a connected component of the pattern of ``S`` in nested-dissection
-    order (``_dissection_order``), whose first diagonal's row gives way
-    to the trace functional, weighted as the right-hand side to
-    ``max(1, max|S|)`` (``_system``).  The system is solved class by
-    class (``_classes``, ``_solve_classes``), each strongly connected
-    class after every class that feeds it, its transpose through
-    ``splu`` in its own order, in symmetric mode with threshold pivoting:
-    a diagonal pivot is kept unless below 0.1 of its system row, so the
-    trace goes last in its class, and a diagonal leaves its place only
-    where it is small, as for a spin at s = 1 (rho_00 = 0).  A
-    steady-state space of dimension above one is flagged, with a
-    RuntimeWarning, when the search from the first diagonal index misses
-    another, or a class is exactly singular; one solution is still
-    returned, by least squares (``lsqr``) on the whole system.  The
-    state is hermitized, and eigenvalues in [-1e-8, 0) are clipped to
-    zero with renormalization; anything more negative aborts.  The
-    eigenvalues, the clip and the residual are taken on the state's
-    diagonal blocks (``_postprocess``), the residual from the block's
-    own rows.
+    The fixed point lives in the block of ``S`` that holds the diagonal
+    (``_trace_block``, ``_dissection_order``), whose first diagonal's
+    row gives way to the trace, weighted as the right-hand side to
+    ``max(1, max|S|)`` (``_system``).  The system is solved level by
+    level over its strongly connected classes (``_solve_classes``): a
+    level before the trace's that a Gershgorin bound shows nonsingular
+    is zero; the others go through ``splu`` of their transpose in
+    symmetric mode with threshold 0.1, so the trace goes last in its
+    class and a diagonal leaves its place only where it is small, as
+    for a spin at s = 1 (rho_00 = 0).  A steady-state space of dimension
+    above one is flagged, with a RuntimeWarning, when the search misses
+    a diagonal index or a factored class is exactly singular; one
+    solution is still returned, by ``lsqr`` on the whole system.  The
+    state is hermitized, and eigenvalues in [-1e-8, 0) are clipped with
+    renormalization; anything more negative aborts (``_postprocess``).
 
-    Everything up to the values is kept per factor pattern, the patterns
-    of the nonzeros of the drift and the jumps, in a module cache (at
-    most ``_CACHE_BYTES``, least recently used out first): a sweep that
-    changes only a coupling or a rate analyses ``S`` once per pattern,
-    and every other solve forms only the block's values from the
-    factors, never ``S``.  Those values are used only when the pattern
-    of ``S`` is provably the same: no value sums to exactly zero, and
-    every product group that cancelled in ``S`` still does; otherwise
-    the pattern is analysed afresh.  The values, the LU and the
-    postprocess run on every call, so a cached and a fresh analysis
-    give the same bytes.
+    The analysis up to the values is cached per pattern of the nonzeros
+    of the drift and the jumps (``_analysis``), so a sweep over a
+    coupling or a rate analyses ``S`` once per pattern.  The values, the
+    solve and the postprocess run on every call, so a cached and a
+    fresh analysis give the same bytes.
     """
     d = L.dim
     an, vals = _analysis(L, _kron_terms(L))
@@ -702,7 +712,7 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
     b = np.zeros(block.size, dtype=complex)
     b[an.trace] = w
     try:
-        x, fill = _solve_classes(A, b, an)
+        x, fill, certified = _solve_classes(A, b, an)
         classes = an.classes.size - 1
     except RuntimeError:
         # exactly singular: a second steady state inside the block; least
@@ -711,11 +721,12 @@ def solve_steady(L: Liouvillian) -> SteadyReport:
         # diagonal rows
         degenerate = True
         x = spla.lsqr(A.T, b, atol=1e-12, btol=1e-12)[0]
-        fill = classes = 0
+        fill = classes = certified = 0
     vec = np.zeros(d * d, dtype=complex)
     vec[block] = x
     report = _postprocess(L, vec.reshape(d, d, order="F"), an, vals)
     report.lu_fill, report.classes = fill, classes
+    report.certified = certified
     if degenerate:
         report.degenerate = True
         warnings.warn("steady-state null space has dimension > 1; "

@@ -65,6 +65,7 @@ def test_steady_reports_invariance(cfg_path, tmp_path):
     assert summary["deviation_B"] > 1e-4
     assert summary["residual"] <= 1e-9
     assert summary["lu_fill"] > 0 and summary["classes"] == 1
+    assert summary["certified"] == 0
     assert isinstance(summary["truncation_shift"], float)
     with open(out / "rho_st_re.csv", newline="") as fh:
         rows = [[float(v) for v in r] for r in csv.reader(fh)]
@@ -74,13 +75,15 @@ def test_steady_reports_invariance(cfg_path, tmp_path):
 
 def test_steady_reports_classes_at_zero_temperature(cfg_path, tmp_path):
     # A's damping only lowers its excitation: the system is solved class
-    # by class, and the summary says how many classes were factored
+    # by class, and the summary says how many classes there are and how
+    # many solve to zero with no factorization
     out = tmp_path / "out"
     cfg = dict(SPIN_OSC, s=0.0, nbar=0.0)
     assert main(["steady", "--config", cfg_path(cfg), "--out", str(out)]) == 0
     summary = json.loads((out / "steady_summary.json").read_text())
     rep = model_steady(build_model(cfg))
     assert summary["classes"] == rep.classes > 1
+    assert summary["certified"] == rep.certified == 1
     assert summary["lu_fill"] == rep.lu_fill > 0
     assert summary["residual"] <= 1e-9 and summary["invariance_A"] <= 1e-9
 

@@ -497,6 +497,128 @@ def _report_bytes(rep):
             np.float64(rep.clipped_weight).tobytes())
 
 
+# The levels before the trace's have a zero right-hand side; a Gershgorin
+# bound on the Hermitian part of each one's diagonal block proves it
+# nonsingular, and so its solution zero, with no factorization.
+
+def _trace_level(an):
+    # the level bounds in solve order and the start of the trace's level
+    b = an.classes[an.levels]
+    return b, b[b <= an.trace][-1]
+
+
+def _margins_of(an, vals):
+    return steady._margins(_system(vals, an)[0].data[an.dpos], an)
+
+
+def _dense_levels(an, vals):
+    # the dense diagonal blocks M of the levels before the trace's, read
+    # off the system itself
+    b, m = _trace_level(an)
+    M = _system(vals, an)[0].T.toarray()[:m, :m]
+    level = np.repeat(np.arange(b.size - 1), np.diff(b))[:m]
+    M[level[:, None] != level] = 0
+    return M
+
+
+def _nothing_certified(monkeypatch):
+    # every level factored, as before the certificate
+    margins = steady._margins
+    monkeypatch.setattr(steady, "_margins",
+                        lambda vals, an: (margins(vals, an)[1] + 1.0,) * 2)
+
+
+@pytest.mark.parametrize("raw", [v[0] for v in _ZERO_T.values()],
+                         ids=list(_ZERO_T))
+def test_certified_levels_solve_as_factored(raw, monkeypatch):
+    bm = build_model(raw)
+    an, vals = _analysed(bm.L)
+    b, m = _trace_level(an)
+    rep = model_steady(bm)
+    # the trace's level is the last, and every level before it certified
+    assert b[-2] == m and rep.certified == np.searchsorted(an.classes, m) > 0
+    n = an.block.size
+    A = _system(vals, an)[0]
+    alone = (2 * (n - m) if an.levels[-1] - an.levels[-2] == n - m
+             else steady._lu(A[m:, m:].tocsc()).nnz)
+    assert rep.lu_fill == alone
+    _nothing_certified(monkeypatch)
+    factored = model_steady(bm)
+    assert factored.certified == 0 and factored.lu_fill > rep.lu_fill
+    assert factored.classes == rep.classes
+    keep = [0, 1, 2, 4, 5]      # all but lu_fill
+    assert ([_report_bytes(rep)[i] for i in keep]
+            == [_report_bytes(factored)[i] for i in keep])
+
+
+@pytest.mark.parametrize("raw", [
+    *[v[0] for v in _ZERO_T.values()],
+    dict(_SO45, n_trunc=6, s=0.0, nbar=0.0, gamma_A=0.4),
+    dict(_TWO_SPINS, s_A=0.0),
+    dict(_OM1215, n_trunc=(4, 5), nbar=0.0, mbar=0.0, kappa=0.3),
+])
+def test_margins_match_dense_hermitian_part(raw):
+    an, vals = _analysed(build_model(raw).L)
+    bound, size = _margins_of(an, vals)
+    M = _dense_levels(an, vals)
+    H = 0.5 * (M + M.conj().T)
+    off = abs(H).sum(axis=1) - abs(H.diagonal())
+    assert np.abs(bound - (H.diagonal().real + off)).max() <= 1e-12
+    assert np.allclose(size, abs(M).sum(axis=1), rtol=1e-14, atol=0)
+
+
+def test_margin_reads_only_the_damping():
+    # every Hamiltonian term, the coupling too, cancels in M + M^dag
+    got = []
+    for Omega in (0.5, 50.0):
+        bm = build_model(dict(_SO45, n_trunc=15, s=0.0, nbar=0.0,
+                              Omega=Omega))
+        got.append(_margins_of(*_analysed(bm.L))[0])
+        rep = model_steady(bm)
+        assert rep.certified == 1 and rep.residual <= 1e-9
+    assert np.abs(got[0] - got[1]).max() <= 1e-12
+    # the excited level's bound: -(gamma_A - gamma_B / 2)
+    assert got[0].max() == pytest.approx(-0.5, abs=1e-12)
+
+
+def test_weak_a_damping_is_factored():
+    # gamma_A = 0.4 gamma_B: the bound, -(gamma_A - gamma_B / 2), is
+    # positive, so the excited level is factored, as before the
+    # certificate (10,426 entries)
+    bm = build_model(dict(_SO45, n_trunc=15, s=0.0, nbar=0.0, gamma_A=0.4))
+    assert _margins_of(*_analysed(bm.L))[0].max() == pytest.approx(
+        0.1, abs=1e-12)
+    rep = model_steady(bm)
+    assert rep.classes == 2 and rep.certified == 0
+    assert rep.lu_fill == 10_426 and rep.residual <= 1e-9
+
+
+def test_singular_level_before_the_trace_falls_back():
+    # level 4 decays to 1, which is dark, and to the pair {2, 3}, which
+    # H couples and which decays to 0: (1, 1) and the pair's four
+    # unknowns form one level before the trace's, singular through the
+    # empty row of (1, 1)
+    spc = hb.space(hb.oscillator(5))
+    H = np.zeros((5, 5), complex)
+    H[2, 3] = H[3, 2] = 1.0
+    jumps = []
+    for i, j in ((1, 4), (2, 4), (0, 2), (0, 3)):
+        J = np.zeros((5, 5), complex)
+        J[i, j] = 1.0
+        jumps.append(LindbladTerm(hb.Operator(spc, J), 1.0))
+    L = Liouvillian(spc, hb.Operator(spc, H), jumps)
+    an, vals = _analysed(L)
+    b, m = _trace_level(an)
+    assert list(b) == [0, 1, 6, 7] and m == 6 and not an.degenerate
+    bound, size = _margins_of(an, vals)
+    assert np.array_equal(bound[1:], [-1.0] * 4 + [0.0]) and size[-1] == 0
+    with pytest.warns(RuntimeWarning):
+        rep = solve_steady(L)
+    assert rep.degenerate
+    assert rep.lu_fill == rep.classes == rep.certified == 0
+    assert rep.residual <= 1e-10
+
+
 _CACHE_GRID = [
     dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.7, s_A=0.8,
          s_B=0.6, Omega=1.3),
@@ -765,11 +887,18 @@ def _assert_matches_dense(L, raw, an, vals):
 
 
 def _shifted(rho, an):
-    # rho - (lambda_min + 1e-10) 1: on the block's pairs, one negative
-    # eigenvalue of -1e-10 (more when lambda_min is degenerate)
-    flat = rho.reshape(-1, order="F")
-    low = min(np.linalg.eigvalsh(flat[p]).min() for p in an.parts)
-    return rho - (low + 1e-10) * np.eye(rho.shape[0])
+    # rho - (lambda_min + 1e-10) v v^dag, v an eigenvector of lambda_min
+    # inside one part: one eigenvalue of -1e-10 and the others kept, so
+    # the trace stays positive even when lambda_min is degenerate
+    flat = rho.reshape(-1, order="F").copy()
+    lowest = []
+    for p in an.parts:
+        w, V = np.linalg.eigh(flat[p])
+        k = np.argmin(w[:, 0])
+        lowest.append((w[k, 0], p[k], V[k][:, 0]))
+    low, p, v = min(lowest, key=lambda c: c[0])
+    flat[p] -= (low + 1e-10) * np.outer(v, v.conj())
+    return flat.reshape(rho.shape, order="F")
 
 
 _rate = st.floats(0.2, 2.0)
@@ -806,6 +935,12 @@ def test_random_configs_keep_a_marginal(raw):
 @example(dict(model="spin_oscillator", omega_A=1.0, omega_B=0.375,
               gamma_A=1.0, gamma_B=1.0, s=0.0, nbar=0.25, Omega=2.0,
               n_trunc=7))
+# the steady state is 1/4: a shift of the whole spectrum by lambda_min
+# left it a trace of -4e-10
+@example(dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=1.0,
+              s_A=0.5, s_B=0.5, Omega=1.0))
+@example(dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=1.0,
+              s_A=0.5, s_B=0.5, Omega=0.0))
 def test_blockwise_postprocess_matches_dense(raw):
     bm = build_model(raw)
     an, vals = _analysed(bm.L)
