@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: ``run`` (time evolution to CSV), ``steady`` (fixed point,
+Subcommands: ``run`` (time evolution to CSV, with the integrator's
+evaluation count and time in ``run_stats.json``), ``steady`` (fixed point,
 reduced states and invariance norms), ``spectrum`` (eigenvalue tables),
 ``verify`` (invariant suite as JSON, exit code reflects pass/fail) and
 ``figure {1,2,3,4}`` (the standard parameter studies).  All time axes
@@ -103,6 +104,13 @@ def cmd_run(args) -> int:
     cols.append(rec.sector_pair_norms[1])
     _write_csv(out / "trajectory.csv", header,
                zip(*[np.asarray(c) for c in cols]))
+    path = out / "run_stats.json"
+    # integrate_s in fixed-width exponent form, so that the size of the
+    # file, and of what a run writes, does not depend on the timing
+    path.write_text('{\n  "rhs_evals": %d,\n  "integrate_s": %.6e,\n'
+                    '  "samples": %d\n}\n'
+                    % (rec.rhs_evals, rec.integrate_s, len(rec.times)))
+    print(f"wrote {path}")
     return 0
 
 

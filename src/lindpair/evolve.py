@@ -110,6 +110,10 @@ def evolve(L: Liouvillian, rho0, t_grid,
            store_states: bool = False) -> TrajectoryRecord:
     """Integrate the master equation over ``t_grid``.
 
+    The right-hand side is ``L.apply``: linear in rho, independent of
+    t and returning a new array, the contract of
+    :func:`~lindpair._integrate.integrate_adaptive`, whose step doubling
+    calls it 8 times per attempted step (``rhs_evals`` counts them).
     An argument of the wrong shape raises ValueError naming it before
     any step: ``rho0`` and each observable must be ``(L.dim, L.dim)``,
     ``distance_target`` square over the ``keep_factors``.
@@ -130,6 +134,8 @@ def evolve(L: Liouvillian, rho0, t_grid,
     sectors : sequence of int, optional
         ``l >= 0``; records the trace norm of each +-l sector pair of A,
         the leading factor, scattered from ``sector_indices``.
+    tol : float
+        Local error tolerance of each integrator step.
     store_states : bool
         Keep every sampled density matrix (memory permitting).
     """

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,12 @@ def test_run_writes_trajectory(cfg_path, tmp_path):
     sec = data[:, header.index("sector1_norm")]
     assert dist[0] > 0 and dist[-1] < dist[0]
     assert np.all(np.diff(sec) < 0)
+    text = (out / "run_stats.json").read_text()
+    assert re.search(r'"integrate_s": \d\.\d{6}e[+-]\d\d,', text)
+    stats = json.loads(text)
+    assert set(stats) == {"rhs_evals", "integrate_s", "samples"}
+    assert stats["samples"] == 9 and stats["integrate_s"] > 0.0
+    assert stats["rhs_evals"] > 0 and stats["rhs_evals"] % 8 == 0
 
 
 def test_steady_reports_invariance(cfg_path, tmp_path):

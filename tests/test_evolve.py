@@ -4,12 +4,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindpair import hilbert as hb
 from lindpair.evolve import certify_truncation, evolve, trace_norm
-from lindpair.liouvillian import Liouvillian, LindbladTerm
+from lindpair.liouvillian import (Liouvillian, LindbladTerm,
+                                  sparse_superoperator)
 from lindpair.models import ModelConfig, build_model, model_steady
 
 
@@ -104,10 +106,32 @@ def test_record_counts_rhs_evals(monkeypatch):
     rec = evolve(bm.L, rho0, np.linspace(0.0, 1.0, 3),
                  distance_target=bm.analytic_A_steady)
     assert calls > 0 and rec.rhs_evals == calls
+    # 8 evaluations per attempted step
+    assert rec.rhs_evals % 8 == 0
     assert rec.integrate_s > 0.0
     # a single sample integrates nothing
     rec = evolve(bm.L, rho0, [0.0])
     assert rec.rhs_evals == 0
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(model="two_spins", omega=1.0, gamma_A=1.0, gamma_B=0.5, s_A=0.8,
+         s_B=0.6, Omega=0.7),
+    dict(model="spin_oscillator", omega_A=1.0, omega_B=1.0, gamma_A=1.0,
+         gamma_B=1.0, s=0.3, nbar=0.2, Omega=0.5, n_trunc=10),
+])
+def test_evolve_matches_exact_propagation(cfg):
+    bm = build_model(cfg)
+    d = bm.L.dim
+    psi = np.zeros(d, dtype=complex)
+    psi[0] = psi[d // 2] = 1.0 / np.sqrt(2.0)
+    rho0 = np.outer(psi, psi.conj())
+    t_grid = np.linspace(0.0, 2.0, 5)
+    rec = evolve(bm.L, rho0, t_grid, store_states=True)
+    S = sparse_superoperator(bm.L).toarray()
+    for t, state in zip(t_grid, rec.states):
+        exact = scipy.linalg.expm(S * t) @ rho0.reshape(-1, order="F")
+        assert np.abs(state.reshape(-1, order="F") - exact).max() < 1e-9
 
 
 def test_contraction_in_trace_norm():

@@ -7,13 +7,15 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lindpair import hilbert as hb
+from lindpair import liouvillian as lv
 from lindpair.liouvillian import (Liouvillian, LindbladTerm, _assemble,
-                                  _is_hermitian, sparse_superoperator,
-                                  trace_row_indices)
+                                  _is_hermitian, _kron_terms,
+                                  sparse_superoperator, trace_row_indices)
 from lindpair.models import ModelConfig, build_model
 
 
@@ -339,6 +341,37 @@ def test_random_generator_bytes_match_dense_view_assembly():
     for L in generators:
         _assert_same_arrays(sparse_superoperator(L),
                             _assemble(_dense_view_terms(L), L.dim))
+
+
+def _one_conversion(terms, d):
+    """All triplets of the kron terms in one SciPy conversion."""
+    rows, cols, vals = [], [], []
+    for rate, (ra, ca, va), (rb, cb, vb) in terms:
+        rows.append(np.add.outer(ra * d, rb).ravel())
+        cols.append(np.add.outer(ca * d, cb).ravel())
+        vals.append(np.multiply.outer(va, vb).ravel() * rate)
+    S = sps.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                               np.concatenate(cols))),
+                       shape=(d * d, d * d)).tocsr()
+    S.eliminate_zeros()
+    return S
+
+
+@pytest.mark.parametrize("band", [1, 40, 1000])
+def test_banded_assembly_matches_one_conversion(band, monkeypatch):
+    # bands of a row of the left factors (1), of a few rows and of many;
+    # the dense jumps meet several times at one entry of S
+    generators = [_many_nonzero_jumps(np.random.default_rng(3)),
+                  *_edge_generators(), _random_model(4)[0],
+                  build_model(ModelConfig(**_LAYOUT_CONFIGS["zero_rate"])).L,
+                  build_model(ModelConfig(
+                      **_LAYOUT_CONFIGS["optomechanical"])).L]
+    monkeypatch.setattr(lv, "_BAND", band)
+    for L in generators:
+        terms = _kron_terms(L)
+        S = _assemble(terms, L.dim)
+        _assert_same_arrays(S, _one_conversion(terms, L.dim))
+        assert S.has_canonical_format
 
 
 def test_dense_views_are_not_kept():
